@@ -59,11 +59,6 @@ struct SolverOptions {
   double lambda_max = 0.0;
   bool mixed_precision_gram = false;  ///< double-double Gram extension
   std::string breakdown = "shift";    ///< "shift" | "throw"
-  /// Pipelined s-step runtime lookahead depth: 0 = reduce latency fully
-  /// exposed, >= 1 = next-panel MPK compute credited against the
-  /// stage-1 reduce window.  Bitwise-identical solutions at every
-  /// depth; see krylov::SStepGmresConfig::pipeline_depth.
-  int pipeline_depth = 0;
   /// Stability autopilot (sstep only; see
   /// krylov::SStepGmresConfig::Autopilot and docs/algorithms.md):
   /// monitor the per-panel Gram conditioning estimate, shrink/grow s

@@ -21,12 +21,10 @@ void validate(const BlockSStepGmresConfig& cfg, index_t k) {
   if (c.s <= 0 || c.m <= 0 || c.m % c.s != 0) {
     throw std::invalid_argument("block_sstep_gmres: s must divide m");
   }
-  if (c.scheme == OrthoScheme::kTwoStage) {
-    if (c.bs < c.s || c.bs > c.m || c.bs % c.s != 0) {
-      throw std::invalid_argument(
-          "block_sstep_gmres: two-stage requires s <= bs <= m with s | bs");
-    }
-  }
+  // The scheme's own shape rules (two-stage: s <= bs <= m, s | bs)
+  // reject the config here, before any collective; the managers the
+  // cycles build scale m, s and bs alike, which keeps those rules.
+  (void)make_manager(c);
   if ((c.basis == BasisKind::kNewton || c.basis == BasisKind::kChebyshev) &&
       !(c.lambda_max > c.lambda_min)) {
     throw std::invalid_argument(

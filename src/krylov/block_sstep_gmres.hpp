@@ -28,8 +28,8 @@
 // spmv).  For b > 1, results are bitwise-reproducible across thread
 // counts and stable across rank counts — the repo's standard
 // determinism contract ({1,2,7}^2 pinned in tests/test_block_gmres.cpp).
-// The pipelined lookahead and the stability autopilot are single-RHS
-// features: pipeline_depth and autopilot settings are ignored here.
+// The stability autopilot is a single-RHS feature: its settings are
+// ignored here.
 
 #include "krylov/sstep_gmres.hpp"
 
@@ -37,8 +37,8 @@ namespace tsbo::krylov {
 
 struct BlockSStepGmresConfig {
   /// Shared s-step settings (m/s/bs counted in BLOCK steps — the basis
-  /// reaches m*b + b flat columns).  autopilot and pipeline_depth are
-  /// ignored; cancel/on_restart/manager_factory are honored.
+  /// reaches m*b + b flat columns).  autopilot is ignored;
+  /// cancel/on_restart/manager_factory are honored.
   SStepGmresConfig base;
 
   /// Per-RHS convergence reference norms (column-ordered).  Empty =

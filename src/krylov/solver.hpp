@@ -13,18 +13,6 @@ namespace tsbo::krylov {
 
 using dense::index_t;
 
-/// Which block-orthogonalization scheme the s-step solver uses
-/// (Table III's four columns plus diagnostics).
-enum class OrthoScheme {
-  kBcgs2CholQr2,  ///< original s-step GMRES (5 reduces / s steps)
-  kBcgs2Hhqr,     ///< stability reference (O(s) reduces / s steps)
-  kBcgsPip,       ///< single-pass PIP (1 reduce; no re-orthogonalization)
-  kBcgsPip2,      ///< the paper's new one-stage variant (2 reduces)
-  kTwoStage,      ///< the paper's contribution (1 + s/bs reduces)
-};
-
-const char* ortho_scheme_name(OrthoScheme s);
-
 /// Snapshot handed to a solver's per-restart observer (progress
 /// reporting, residual-history capture).  `timers` points at the live
 /// per-rank accumulator: valid only for the duration of the callback.
@@ -114,11 +102,9 @@ struct SolveResult {
   bool cancelled = false;
   bool deadline_expired = false;
 
-  /// Pipelined s-step runtime counters: speculative next-panel MPK
-  /// sweeps generated inside a stage-1 reduce window that were consumed
-  /// by the following panel (hits) vs discarded because the cycle
-  /// converged or ended first (misses).  Zero for schemes without a
-  /// split stage-1 path.
+  /// Always 0: the solver has no speculative lookahead.  Kept only for
+  /// readers of the old counters; due for removal in the next benchmark
+  /// change.
   long lookahead_hits = 0;
   long lookahead_misses = 0;
 

@@ -10,49 +10,33 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace tsbo::krylov {
 
-const char* ortho_scheme_name(OrthoScheme s) {
-  switch (s) {
-    case OrthoScheme::kBcgs2CholQr2:
-      return "BCGS2(CholQR2)";
-    case OrthoScheme::kBcgs2Hhqr:
-      return "BCGS2(HHQR)";
-    case OrthoScheme::kBcgsPip:
-      return "BCGS-PIP";
-    case OrthoScheme::kBcgsPip2:
-      return "BCGS-PIP2";
-    case OrthoScheme::kTwoStage:
-      return "Two-stage";
+std::unique_ptr<ortho::BlockOrthoManager> two_stage_manager(
+    const SStepGmresConfig& cfg) {
+  if (cfg.bs < cfg.s || cfg.bs > cfg.m || cfg.s <= 0 || cfg.bs % cfg.s != 0) {
+    throw std::invalid_argument(
+        "two_stage: requires s <= bs <= m with s | bs (got s=" +
+        std::to_string(cfg.s) + " bs=" + std::to_string(cfg.bs) +
+        " m=" + std::to_string(cfg.m) + ")");
   }
-  return "?";
+  return ortho::make_two_stage_manager(cfg.bs);
 }
 
 std::unique_ptr<ortho::BlockOrthoManager> make_manager(
     const SStepGmresConfig& cfg) {
-  if (cfg.manager_factory) {
-    auto manager = cfg.manager_factory(cfg);
-    if (manager == nullptr) {
-      throw std::invalid_argument(
-          "make_manager: manager_factory returned null for this config");
-    }
-    return manager;
+  if (!cfg.manager_factory) {
+    throw std::invalid_argument("make_manager: no manager_factory set");
   }
-  switch (cfg.scheme) {
-    case OrthoScheme::kBcgs2CholQr2:
-      return ortho::make_bcgs2_manager(ortho::IntraKind::kCholQR2);
-    case OrthoScheme::kBcgs2Hhqr:
-      return ortho::make_bcgs2_manager(ortho::IntraKind::kHHQR);
-    case OrthoScheme::kBcgsPip:
-      return ortho::make_bcgs_pip_manager();
-    case OrthoScheme::kBcgsPip2:
-      return ortho::make_bcgs_pip2_manager();
-    case OrthoScheme::kTwoStage:
-      return ortho::make_two_stage_manager(cfg.bs);
+  auto manager = cfg.manager_factory(cfg);
+  if (manager == nullptr) {
+    throw std::invalid_argument(
+        "make_manager: manager_factory returned null for this config");
   }
-  throw std::invalid_argument("make_manager: unknown scheme");
+  return manager;
 }
 
 namespace {
@@ -60,12 +44,6 @@ namespace {
 void validate(const SStepGmresConfig& cfg) {
   if (cfg.s <= 0 || cfg.m <= 0 || cfg.m % cfg.s != 0) {
     throw std::invalid_argument("sstep_gmres: s must divide m");
-  }
-  if (cfg.scheme == OrthoScheme::kTwoStage) {
-    if (cfg.bs < cfg.s || cfg.bs > cfg.m || cfg.bs % cfg.s != 0) {
-      throw std::invalid_argument(
-          "sstep_gmres: two-stage requires s <= bs <= m with s | bs");
-    }
   }
   if ((cfg.basis == BasisKind::kNewton || cfg.basis == BasisKind::kChebyshev) &&
       !(cfg.lambda_max > cfg.lambda_min)) {
@@ -139,6 +117,9 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
                         std::span<const double> b, std::span<double> x,
                         const SStepGmresConfig& cfg) {
   validate(cfg);
+  // Built before any collective so a scheme's own shape rules reject
+  // the config identically on every rank.
+  std::unique_ptr<ortho::BlockOrthoManager> manager = make_manager(cfg);
   const auto nloc = static_cast<std::size_t>(a.n_local());
   assert(b.size() == nloc && x.size() == nloc);
 
@@ -185,7 +166,6 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     return kb;
   };
   KrylovBasis kbasis = build_basis(cfg.s);
-  std::unique_ptr<ortho::BlockOrthoManager> manager = make_manager(cfg);
 
   // Autopilot state: the step-size ladder plus the Gram precision in
   // effect.  All transitions are driven by globally-reduced estimates,
@@ -252,7 +232,6 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     index_t assembled = 0;  // Hessenberg columns appended so far
     index_t generated = 1;  // basis columns stage-1-processed so far
     bool inner_converged = false;
-    bool have_next = false;  // speculative next-panel columns in place
 
     const index_t npanel = cfg.m / s_cur;
     double cycle_kappa = 0.0;
@@ -270,59 +249,11 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     try {
       for (index_t p = 0; p < npanel; ++p) {
         const index_t start = p * s_cur;
-        if (have_next) {
-          // The lookahead already generated this panel's columns inside
-          // the previous panel's reduce window (and recorded the raw MPK
-          // start with the manager).
-          res.lookahead_hits += 1;
-          have_next = false;
-        } else {
-          manager->note_mpk_start(octx, lmat.view(), start);
-          matrix_powers(comm, op, kbasis, basis.view(), start + 1, s_cur,
-                        &res.timers);
-        }
-
-        index_t nfinal;
-        if (manager->add_panel_begin(octx, basis.view(), start + 1, s_cur,
-                                     cfg.pipeline_depth > 0)) {
-          // Pipelined lookahead: with the stage-1 fused Gram reduce in
-          // flight, generate the NEXT panel's matrix-powers columns from
-          // this panel's raw (not yet transformed) last column.  The
-          // schedule is the same at every pipeline_depth — the option
-          // selects only whether the window earns overlap credit — so
-          // the solution is bitwise independent of it.
-          const index_t next = start + s_cur;
-          if (p + 1 < npanel) {
-            manager->note_mpk_start_raw(octx, next);
-            matrix_powers(comm, op, kbasis, basis.view(), next + 1, s_cur,
-                          &res.timers);
-            have_next = true;
-          }
-          nfinal = manager->add_panel_finish(octx, basis.view(), start + 1,
-                                             s_cur, rmat.view(), lmat.view());
-          if (have_next) {
-            // Deferred normalization: rescale the speculative panel by
-            // the manager's power-of-two scale now that the stage-1
-            // factor is known (exact — commutes with the recurrence).
-            // Scale 0 means the manager's quality guard rejected the
-            // speculation (raw column too decayed): discard the panel
-            // and fall back to regeneration at the top of the next
-            // iteration.  The MPK compute still overlapped the reduce.
-            const double alpha = manager->lookahead_scale(next);
-            if (alpha == 0.0) {
-              res.lookahead_misses += 1;
-              have_next = false;
-            } else if (alpha != 1.0) {
-              for (index_t c = next + 1; c <= next + s_cur; ++c) {
-                double* col = basis.col(c);
-                for (std::size_t i = 0; i < nloc; ++i) col[i] *= alpha;
-              }
-            }
-          }
-        } else {
-          nfinal = manager->add_panel(octx, basis.view(), start + 1, s_cur,
-                                      rmat.view(), lmat.view());
-        }
+        manager->note_mpk_start(octx, lmat.view(), start);
+        matrix_powers(comm, op, kbasis, basis.view(), start + 1, s_cur,
+                      &res.timers);
+        const index_t nfinal = manager->add_panel(
+            octx, basis.view(), start + 1, s_cur, rmat.view(), lmat.view());
         // Count the panel only once its orthogonalization held: a
         // thrown CholeskyBreakdown rolls the cycle back to the last
         // accepted column, excluding the broken panel's columns.
@@ -353,14 +284,6 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
       if (!ap) throw;
       cycle_breakdown = true;
       poll_monitor();
-    }
-
-    // A speculative panel left in place by an early inner break (or a
-    // recovered breakdown) was generated but never consumed: its
-    // columns are simply abandoned.
-    if (have_next) {
-      res.lookahead_misses += 1;
-      have_next = false;
     }
 
     // Flush a partially filled big panel (bs not dividing m, an early

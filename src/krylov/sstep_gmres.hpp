@@ -17,16 +17,29 @@
 #include "krylov/solver.hpp"
 #include "ortho/manager.hpp"
 
+#include <functional>
+#include <memory>
 #include <span>
 
 namespace tsbo::krylov {
+
+struct SStepGmresConfig;
+
+/// Builds the block-orthogonalization manager for one solve.
+using ManagerFactory = std::function<std::unique_ptr<ortho::BlockOrthoManager>(
+    const SStepGmresConfig&)>;
+
+/// The paper's two-stage manager (Fig. 5) for the config's step sizes —
+/// the default ManagerFactory.  Throws std::invalid_argument unless
+/// s <= bs <= m with s | bs.
+std::unique_ptr<ortho::BlockOrthoManager> two_stage_manager(
+    const SStepGmresConfig& cfg);
 
 struct SStepGmresConfig {
   index_t m = 60;  ///< restart length; must be a multiple of s
   index_t s = 5;   ///< step size (paper's conservative default)
   index_t bs = 60; ///< two-stage second step size (s <= bs <= m, s | bs)
 
-  OrthoScheme scheme = OrthoScheme::kTwoStage;
   BasisKind basis = BasisKind::kMonomial;
   /// Spectral interval for Newton/Chebyshev bases (ignored for
   /// monomial).
@@ -42,19 +55,6 @@ struct SStepGmresConfig {
   int max_restarts = 1000000;
   ortho::BreakdownPolicy policy = ortho::BreakdownPolicy::kShift;
   bool mixed_precision_gram = false;  ///< double-double Gram extension
-
-  /// Pipelined-runtime lookahead depth.  Whenever the manager supports
-  /// split add_panel (two-stage, plain-double Gram), the solver runs
-  /// the lookahead schedule: the stage-1 Gram reduce is issued
-  /// split-phase and the NEXT panel's matrix-powers columns are
-  /// generated from the current panel's raw last column before the
-  /// wait, with deferred power-of-two normalization.  pipeline_depth
-  /// selects only the ACCOUNTING of that window: 0 charges the reduce
-  /// latency fully exposed, >= 1 credits the in-window MPK compute as
-  /// overlapped (depths beyond 1 behave as 1 — a single panel of
-  /// lookahead).  The arithmetic is identical at every depth, so
-  /// solutions are bitwise independent of this option.
-  int pipeline_depth = 0;
 
   /// Stability autopilot (docs/algorithms.md "Stability autopilot").
   /// When enabled, the solver polls the ortho layer's per-panel Gram
@@ -100,12 +100,10 @@ struct SStepGmresConfig {
   /// result carries cancelled / deadline_expired and the best iterate.
   const par::CancelToken* cancel = nullptr;
 
-  /// When set, make_manager() calls this instead of switching on
-  /// `scheme` — the extension point the api ortho registry uses, so new
-  /// block-orthogonalization schemes plug in without growing the enum.
-  std::function<std::unique_ptr<ortho::BlockOrthoManager>(
-      const SStepGmresConfig&)>
-      manager_factory;
+  /// The block-orthogonalization scheme: make_manager() calls this once
+  /// per solve.  The api ortho registry sets it for every scheme name;
+  /// the default is the paper's two-stage scheme.
+  ManagerFactory manager_factory = two_stage_manager;
 };
 
 /// Solves A M^{-1} u = b, x += M^{-1} u from the initial guess in `x`.
@@ -115,7 +113,9 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
                         std::span<const double> b, std::span<double> x,
                         const SStepGmresConfig& cfg);
 
-/// Builds the manager the config names (exposed for tests/benches).
+/// Builds the manager the config's factory names (exposed for
+/// tests/benches); throws std::invalid_argument when the factory
+/// rejects the config or returns null.
 std::unique_ptr<ortho::BlockOrthoManager> make_manager(
     const SStepGmresConfig& cfg);
 

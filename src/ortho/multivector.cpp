@@ -27,8 +27,7 @@ void time_stop(OrthoContext& ctx, const char* phase) {
 
 // `gram.stage1` fault seam: consulted once per fused stage-1 Gram,
 // after the local gemm and before the reduce is published (a throw
-// here leaves no pending collective of its own; siblings already in
-// flight are completed by their PendingReduce dtors during unwind).  A
+// here leaves no pending collective behind).  A
 // corrupt flips the same bit of every rank's local partial at the same
 // (row, col) — the reduced Gram is perturbed by a detectable 2^64-scale
 // entry on all ranks identically.

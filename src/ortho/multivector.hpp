@@ -120,12 +120,7 @@ class ScopedGramPrecision {
 /// Local work a caller wants executed inside a split-phase reduce
 /// window (between the iallreduce begin and its wait), where the
 /// modeled fabric latency hides it.  Must not depend on the reduce
-/// result.  It may open NESTED communication windows (halo exchanges,
-/// further split-phase collectives up to par::kMaxInflight) — the
-/// pipelined s-step runtime runs a whole matrix-powers sweep, halo
-/// exchanges included, inside the stage-1 Gram reduce window — but it
-/// must not wait on this reduce's own request, and every rank must
-/// issue the identical nested sequence.
+/// result and must not start another collective (one is in flight).
 using OverlapHook = std::function<void()>;
 
 /// In-flight global reduce of a (possibly strided) matrix view, issued
@@ -133,9 +128,7 @@ using OverlapHook = std::function<void()>;
 /// completes the communication and unpacks the reduced coefficients
 /// into the view handed at issue time; the destructor waits, so an
 /// exception unwinding through an overlap window stays collective.
-/// Several PendingReduces may be outstanding per communicator (each
-/// owns one of the rank's par::kMaxInflight publication slots), with
-/// waits issued in the same order on every rank.
+/// At most one PendingReduce is outstanding per communicator.
 class PendingReduce {
  public:
   PendingReduce() = default;

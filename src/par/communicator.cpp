@@ -31,7 +31,6 @@ CommRequest& CommRequest::operator=(CommRequest&& o) noexcept {
     a_ = o.a_;
     b_ = o.b_;
     root_ = o.root_;
-    slot_ = o.slot_;
     modeled_seconds_ = o.modeled_seconds_;
     overlap_credit_ = o.overlap_credit_;
     begin_ = o.begin_;
@@ -48,8 +47,8 @@ void CommRequest::wait() {
 SpmdContext::SpmdContext(int nranks, NetworkModel model)
     : nranks_(nranks),
       model_(model),
-      slots_(static_cast<std::size_t>(nranks) * kMaxInflight, nullptr),
-      sizes_(static_cast<std::size_t>(nranks) * kMaxInflight, 0),
+      slots_(static_cast<std::size_t>(nranks), nullptr),
+      sizes_(static_cast<std::size_t>(nranks), 0),
       xslots_(static_cast<std::size_t>(nranks), nullptr),
       xsizes_(static_cast<std::size_t>(nranks), 0) {
   assert(nranks >= 1);
@@ -94,41 +93,31 @@ CommRequest Communicator::make_request(CommRequest::Kind kind,
                                        std::span<double> a,
                                        std::span<double> b, int root,
                                        double modeled) {
-  // Deterministic first-free scan: SPMD ranks issue collectives in
-  // identical order, so every rank assigns the same ring slot to the
-  // same logical collective and complete() can read peers' slots by
-  // its own index.
-  int slot = 0;
-  while (slot < kMaxInflight && slot_busy_[slot]) ++slot;
-  assert(slot < kMaxInflight &&
-         "too many split-phase collectives in flight (kMaxInflight)");
-  slot_busy_[slot] = true;
-  ++inflight_;
+  assert(!slot_busy_ && "a split-phase collective is already in flight");
+  slot_busy_ = true;
   CommRequest req;
   req.comm_ = this;
   req.kind_ = kind;
   req.a_ = a;
   req.b_ = b;
   req.root_ = root;
-  req.slot_ = slot;
   req.modeled_seconds_ = modeled;
   req.begin_ = std::chrono::steady_clock::now();
   return req;
 }
 
-void Communicator::publish(int slot, std::span<const double> data) {
-  const std::size_t idx =
-      static_cast<std::size_t>(rank_) * kMaxInflight +
-      static_cast<std::size_t>(slot);
-  ctx_.slots_[idx] = data.data();
-  ctx_.sizes_[idx] = data.size();
+void Communicator::publish(std::span<const double> data) {
+  ctx_.slots_[static_cast<std::size_t>(rank_)] = data.data();
+  ctx_.sizes_[static_cast<std::size_t>(rank_)] = data.size();
 }
 
-const double* Communicator::peer_slot(int peer, int slot) const {
-  const std::size_t idx =
-      static_cast<std::size_t>(peer) * kMaxInflight +
-      static_cast<std::size_t>(slot);
-  return static_cast<const double*>(ctx_.slots_[idx]);
+const double* Communicator::peer_slot(int peer) const {
+  return static_cast<const double*>(
+      ctx_.slots_[static_cast<std::size_t>(peer)]);
+}
+
+std::size_t Communicator::peer_size(int peer) const {
+  return ctx_.sizes_[static_cast<std::size_t>(peer)];
 }
 
 CommRequest Communicator::iallreduce_sum(std::span<double> inout) {
@@ -146,7 +135,7 @@ CommRequest Communicator::iallreduce_sum(std::span<double> inout) {
   CommRequest req = make_request(
       CommRequest::Kind::kSum, inout, {}, 0,
       ctx_.model_.allreduce_seconds(ctx_.nranks_, inout.size_bytes()));
-  if (ctx_.nranks_ > 1) publish(req.slot_, inout);
+  if (ctx_.nranks_ > 1) publish(inout);
   return req;
 }
 
@@ -170,13 +159,10 @@ CommRequest Communicator::iallreduce_sum_dd(std::span<double> hi,
     // Publish one packed [hi..., lo...] buffer per rank; every rank
     // then folds the pairs in rank order with normalized dd adds at
     // wait(), so all ranks hold the identical extended-precision sum.
-    // Each ring slot owns its staging buffer so the packed payload
-    // stays stable while sibling requests come and go.
-    std::vector<double>& st = staging_[req.slot_];
-    st.resize(2 * n);
-    std::memcpy(st.data(), hi.data(), hi.size_bytes());
-    std::memcpy(st.data() + n, lo.data(), lo.size_bytes());
-    publish(req.slot_, st);
+    staging_.resize(2 * n);
+    std::memcpy(staging_.data(), hi.data(), hi.size_bytes());
+    std::memcpy(staging_.data() + n, lo.data(), lo.size_bytes());
+    publish(staging_);
   }
   return req;
 }
@@ -186,39 +172,29 @@ CommRequest Communicator::ibroadcast(std::span<double> data, int root) {
   CommRequest req = make_request(
       CommRequest::Kind::kBcast, data, {}, root,
       ctx_.model_.allreduce_seconds(ctx_.nranks_, data.size_bytes()));
-  if (ctx_.nranks_ > 1 && rank_ == root) publish(req.slot_, data);
+  if (ctx_.nranks_ > 1 && rank_ == root) publish(data);
   return req;
 }
 
 void Communicator::complete(CommRequest& req) {
-  assert(inflight_ > 0 && slot_busy_[req.slot_]);
+  assert(slot_busy_);
   // Compute performed since begin is what the fabric latency hides.
-  // The wall-clock window includes exposed spins of earlier waits on
-  // purpose: the fabric progresses every pending operation while the
-  // host blocks in one wait, exactly like overlapping MPI requests.
   const double elapsed =
       req.overlap_credit_
           ? std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           req.begin_)
                 .count()
           : 0.0;
-  const int slot = req.slot_;
-  [[maybe_unused]] const auto slot_size = [&](int r) {
-    return ctx_.sizes_[static_cast<std::size_t>(r) * kMaxInflight +
-                       static_cast<std::size_t>(slot)];
-  };
   switch (req.kind_) {
     case CommRequest::Kind::kSum: {
       std::span<double> inout = req.a_;
       if (ctx_.nranks_ > 1) {
         barrier();  // all ranks published
-        // Deterministic order: sum rank 0..p-1 contributions.  Waits
-        // are serialized on each rank, so one fold workspace suffices
-        // even with siblings still pending in other slots.
+        // Deterministic order: sum rank 0..p-1 contributions.
         scratch_.assign(inout.size(), 0.0);
         for (int r = 0; r < ctx_.nranks_; ++r) {
-          assert(slot_size(r) == inout.size());
-          const double* src = peer_slot(r, slot);
+          assert(peer_size(r) == inout.size());
+          const double* src = peer_slot(r);
           for (std::size_t i = 0; i < inout.size(); ++i) scratch_[i] += src[i];
         }
         barrier();  // all ranks finished reading before buffers are reused
@@ -236,8 +212,8 @@ void Communicator::complete(CommRequest& req) {
         for (std::size_t i = 0; i < n; ++i) {
           eft::dd acc;
           for (int r = 0; r < ctx_.nranks_; ++r) {
-            assert(slot_size(r) == 2 * n);
-            const double* src = peer_slot(r, slot);
+            assert(peer_size(r) == 2 * n);
+            const double* src = peer_slot(r);
             eft::dd_add(acc, eft::dd{src[i], src[n + i]});
           }
           scratch2_[i] = acc.hi;
@@ -254,8 +230,8 @@ void Communicator::complete(CommRequest& req) {
       if (ctx_.nranks_ > 1) {
         barrier();  // root published
         if (rank_ != req.root_) {
-          assert(slot_size(req.root_) == data.size());
-          std::memcpy(data.data(), peer_slot(req.root_, slot),
+          assert(peer_size(req.root_) == data.size());
+          std::memcpy(data.data(), peer_slot(req.root_),
                       data.size_bytes());
         }
         barrier();
@@ -263,8 +239,7 @@ void Communicator::complete(CommRequest& req) {
       break;
     }
   }
-  slot_busy_[slot] = false;
-  --inflight_;
+  slot_busy_ = false;
   inject_with_overlap(req.modeled_seconds_, elapsed);
 }
 
@@ -291,27 +266,20 @@ void Communicator::allreduce_max(std::span<double> inout) {
   stats_.allreduces += 1;
   stats_.bytes_allreduced += inout.size_bytes();
   if (ctx_.nranks_ > 1) {
-    // Ticket a ring slot so this blocking collective can run while
-    // split-phase siblings are pending: same deterministic scan as
-    // make_request, released before returning.
-    int slot = 0;
-    while (slot < kMaxInflight && slot_busy_[slot]) ++slot;
-    assert(slot < kMaxInflight);
-    slot_busy_[slot] = true;
-    publish(slot, inout);
+    assert(!slot_busy_ && "a split-phase collective is already in flight");
+    publish(inout);
     barrier();
     scratch_.assign(inout.size(), 0.0);
     for (std::size_t i = 0; i < inout.size(); ++i) {
-      double m = peer_slot(0, slot)[i];
+      double m = peer_slot(0)[i];
       for (int r = 1; r < ctx_.nranks_; ++r) {
-        const double v = peer_slot(r, slot)[i];
+        const double v = peer_slot(r)[i];
         m = v > m ? v : m;
       }
       scratch_[i] = m;
     }
     barrier();
     std::memcpy(inout.data(), scratch_.data(), inout.size_bytes());
-    slot_busy_[slot] = false;
   }
   inject(ctx_.model_.allreduce_seconds(ctx_.nranks_, inout.size_bytes()));
 }
@@ -334,29 +302,20 @@ void Communicator::broadcast(std::span<double> data, int root) {
 
 std::vector<double> Communicator::gather(std::span<const double> local,
                                          int root) {
-  int slot = 0;  // ticketed like allreduce_max; nests under siblings
-  while (slot < kMaxInflight && slot_busy_[slot]) ++slot;
-  assert(slot < kMaxInflight);
-  slot_busy_[slot] = true;
-  publish(slot, local);
+  assert(!slot_busy_ && "a split-phase collective is already in flight");
+  publish(local);
   barrier();
   std::vector<double> out;
   if (rank_ == root) {
     std::size_t total = 0;
-    for (int r = 0; r < ctx_.nranks_; ++r) total += ctx_.sizes_[
-        static_cast<std::size_t>(r) * kMaxInflight +
-        static_cast<std::size_t>(slot)];
+    for (int r = 0; r < ctx_.nranks_; ++r) total += peer_size(r);
     out.reserve(total);
     for (int r = 0; r < ctx_.nranks_; ++r) {
-      const double* src = peer_slot(r, slot);
-      const std::size_t sz = ctx_.sizes_[
-          static_cast<std::size_t>(r) * kMaxInflight +
-          static_cast<std::size_t>(slot)];
-      out.insert(out.end(), src, src + sz);
+      const double* src = peer_slot(r);
+      out.insert(out.end(), src, src + peer_size(r));
     }
   }
   barrier();
-  slot_busy_[slot] = false;
   return out;
 }
 

@@ -23,18 +23,10 @@
 // The blocking collectives are thin begin+wait pairs over the same
 // machinery (with no overlap credit: their window contains no compute).
 //
-// Multiple requests may be in flight per rank (up to kMaxInflight),
-// including neighbor exchanges nested inside a pending collective
-// window — the pipelined s-step runtime launches next-panel MPK halo
-// exchanges while the stage-1 Gram reduce is outstanding.  Per-window
-// overlap accounting mirrors a real fabric: every pending operation
-// progresses concurrently in wall-clock time, so one stretch of
-// compute earns credit in EVERY window that spans it, and the exposed
-// spin of one wait counts as progress for its still-pending siblings
-// (the NIC keeps working while the host blocks in MPI_Wait).  Waits
-// must occur in the same order on every rank (the usual MPI collective
-// ordering contract); out-of-order with respect to issue order is
-// fine.
+// One split-phase collective may be in flight per rank at a time;
+// beginning a second before the first is waited is a programming error
+// (asserted).  A neighbor exchange may open inside a pending collective
+// window — it has its own publication slot.
 
 #include "par/network_model.hpp"
 #include "util/fault.hpp"
@@ -68,17 +60,10 @@ struct CommStats {
 /// after - before, for windowed accounting around a solver call.
 CommStats subtract(const CommStats& after, const CommStats& before);
 
-/// Number of split-phase collectives a rank may have in flight at
-/// once (the publication slots are a small ring, like an MPI
-/// implementation with a few pre-posted envelopes).
-inline constexpr int kMaxInflight = 8;
-
-/// Handle for one in-flight split-phase collective.  Move-only; up to
-/// kMaxInflight requests may be outstanding per rank, and waits may be
-/// issued in any order as long as every rank waits in the SAME order.
-/// wait() completes the operation — called implicitly by the
-/// destructor so an exception unwinding through an overlap window
-/// keeps all ranks in lockstep (siblings still pending are unaffected).
+/// Handle for one in-flight split-phase collective.  Move-only; at most
+/// one request is outstanding per rank.  wait() completes the
+/// operation — called implicitly by the destructor so an exception
+/// unwinding through an overlap window keeps all ranks in lockstep.
 /// Between begin and wait the caller must not touch the published
 /// buffers.
 class CommRequest {
@@ -112,7 +97,6 @@ class CommRequest {
   std::span<double> a_{};  // inout payload (hi plane for kSumDd)
   std::span<double> b_{};  // lo plane (kSumDd only)
   int root_ = 0;           // kBcast only
-  int slot_ = 0;           // publication-slot index within the ring
   double modeled_seconds_ = 0.0;
   bool overlap_credit_ = true;  // blocking wrappers opt out
   std::chrono::steady_clock::time_point begin_{};
@@ -136,17 +120,12 @@ class SpmdContext {
   std::atomic<int> arrived_{0};
   std::atomic<int> sense_{0};
 
-  // Publication slots for zero-copy collectives: a ring of kMaxInflight
-  // entries per rank, so several split-phase requests can be in flight
-  // at once.  Slot (rank, s) lives at index rank * kMaxInflight + s.
-  // Slot assignment is rank-local but deterministic, and SPMD programs
-  // issue collectives in the same order on every rank, so all ranks
-  // agree on which slot a given logical collective occupies.
+  // Per-rank publication slot for zero-copy collectives.
   std::vector<const void*> slots_;
   std::vector<std::size_t> sizes_;
 
   // Dedicated per-rank slot for neighbor exchanges, separate from the
-  // collective ring so a halo exchange can open inside a pending
+  // collective slot so a halo exchange can open inside a pending
   // collective window without clobbering its publication.
   std::vector<const void*> xslots_;
   std::vector<std::size_t> xsizes_;
@@ -216,8 +195,8 @@ class Communicator {
   /// performed between exchange_begin and exchange_end (interior SpMV
   /// rows in the overlapped DistCsr::spmv) is credited against the
   /// modeled p2p latency, mirroring MPI_Irecv/Isend + interior work +
-  /// Waitall.  An exchange may nest inside pending split-phase
-  /// collective windows (it uses dedicated publication slots).
+  /// Waitall.  An exchange may nest inside a pending split-phase
+  /// collective window (it has its own publication slot).
   ///
   /// Usage:
   ///   comm.exchange_begin(my_send_buffer);
@@ -262,23 +241,22 @@ class Communicator {
   CommRequest make_request(CommRequest::Kind kind, std::span<double> a,
                            std::span<double> b, int root, double modeled);
   void complete(CommRequest& req);
-  /// Publishes `data` in the rank's collective ring slot `slot`.
-  void publish(int slot, std::span<const double> data);
-  [[nodiscard]] const double* peer_slot(int peer, int slot) const;
+  /// Publishes `data` in the rank's collective slot.
+  void publish(std::span<const double> data);
+  [[nodiscard]] const double* peer_slot(int peer) const;
+  [[nodiscard]] std::size_t peer_size(int peer) const;
 
   SpmdContext& ctx_;
   int rank_;
   int local_sense_ = 0;
-  int inflight_ = 0;  // outstanding split-phase collectives
-  bool slot_busy_[kMaxInflight] = {};
+  bool slot_busy_ = false;  // a collective holds the publication slot
   std::chrono::steady_clock::time_point exchange_begin_{};
   bool exchange_open_ = false;
-  // Per-slot staging for dd publications: the packed [hi..., lo...]
-  // payload must stay stable for the life of its request, so each ring
-  // slot owns a buffer.  Non-dd sums publish the caller's buffer
-  // directly (zero copy) and only use staging at fold time.
-  std::vector<double> staging_[kMaxInflight];
-  std::vector<double> scratch_;   // fold workspace (waits are serialized)
+  // Staging for dd publications: the packed [hi..., lo...] payload must
+  // stay stable for the life of its request.  Non-dd sums publish the
+  // caller's buffer directly (zero copy).
+  std::vector<double> staging_;
+  std::vector<double> scratch_;   // fold workspace
   std::vector<double> scratch2_;  // dd fold result (staging stays published)
   CommStats stats_;
   FaultInjector* fault_ = nullptr;  // borrowed, job-scoped (may be null)

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -66,39 +67,55 @@ std::uint64_t SolverService::submit(const std::string& spec,
 }
 
 std::uint64_t SolverService::submit(api::SolverOptions opts) {
-  opts.validate();
-  Job job;
-  job.opts = std::move(opts);
-  return enqueue(std::move(job));
+  return submit_burst({std::move(opts)}).front();
 }
 
 std::uint64_t SolverService::submit(api::SolverOptions opts,
                                     std::vector<double> rhs) {
   opts.validate();
-  Job job;
-  job.opts = std::move(opts);
-  job.rhs = std::move(rhs);
-  job.has_rhs = true;
-  return enqueue(std::move(job));
+  std::vector<Job> jobs(1);
+  jobs[0].opts = std::move(opts);
+  jobs[0].rhs = std::move(rhs);
+  jobs[0].has_rhs = true;
+  return enqueue(std::move(jobs)).front();
 }
 
-std::uint64_t SolverService::enqueue(Job job) {
+std::vector<std::uint64_t> SolverService::submit_burst(
+    std::vector<api::SolverOptions> burst) {
+  std::vector<Job> jobs(burst.size());
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    burst[i].validate();
+    jobs[i].opts = std::move(burst[i]);
+  }
+  return enqueue(std::move(jobs));
+}
+
+std::vector<std::uint64_t> SolverService::enqueue(std::vector<Job> jobs) {
+  if (jobs.size() > cfg_.queue_capacity) {
+    throw std::invalid_argument(
+        "service: burst of " + std::to_string(jobs.size()) +
+        " jobs exceeds queue_capacity " + std::to_string(cfg_.queue_capacity));
+  }
   std::unique_lock lock(mu_);
-  cv_space_.wait(lock, [this] {
-    return stop_ || queue_.size() < cfg_.queue_capacity;
+  cv_space_.wait(lock, [this, &jobs] {
+    return stop_ || queue_.size() + jobs.size() <= cfg_.queue_capacity;
   });
   if (stop_) {
     throw std::runtime_error("service: submit() on a stopping SolverService");
   }
-  job.id = next_id_++;
-  job.submitted = std::chrono::steady_clock::now();
-  job.token = std::make_shared<par::CancelToken>();
-  tokens_.emplace(job.id, job.token);
-  const std::uint64_t id = job.id;
-  queue_.push_back(std::move(job));
-  ++inflight_;
+  std::vector<std::uint64_t> ids;
+  ids.reserve(jobs.size());
+  for (Job& job : jobs) {
+    job.id = next_id_++;
+    job.submitted = std::chrono::steady_clock::now();
+    job.token = std::make_shared<par::CancelToken>();
+    tokens_.emplace(job.id, job.token);
+    ids.push_back(job.id);
+    queue_.push_back(std::move(job));
+    ++inflight_;
+  }
   cv_work_.notify_one();
-  return id;
+  return ids;
 }
 
 JobResult SolverService::wait(std::uint64_t id) {
@@ -139,29 +156,33 @@ void SolverService::scheduler_loop() {
       std::unique_lock lock(mu_);
       cv_work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and fully drained
-      if (cfg_.max_inflight_per_key == 0) {
-        batch.assign(std::make_move_iterator(queue_.begin()),
-                     std::make_move_iterator(queue_.end()));
-        queue_.clear();
-      } else {
-        // Fairness cap: take at most max_inflight_per_key jobs per
-        // operator key this round, front to back, leaving the overflow
-        // queued in place.  Relative order is preserved on both sides,
-        // and the front job is always taken, so every round makes
-        // progress.
-        std::map<std::string, std::size_t> picked;
-        std::deque<Job> overflow;
-        for (Job& j : queue_) {
-          std::size_t& count = picked[operator_cache_key(j.opts)];
-          if (count < cfg_.max_inflight_per_key) {
-            ++count;
-            batch.push_back(std::move(j));
-          } else {
+      // Per-round caps, front to back, leaving the overflow queued in
+      // place: at most max_inflight_per_key jobs per operator key
+      // (fairness), and one job per spec under quarantine watch (each
+      // breaker decision then sees every earlier same-spec outcome).
+      // Relative order is preserved on both sides, and the front job is
+      // always taken, so every round makes progress.
+      std::map<std::string, std::size_t> per_key;
+      std::set<std::string> watched;
+      std::deque<Job> overflow;
+      for (Job& j : queue_) {
+        std::size_t* key_count = nullptr;
+        if (cfg_.max_inflight_per_key > 0) {
+          key_count = &per_key[operator_cache_key(j.opts)];
+          if (*key_count >= cfg_.max_inflight_per_key) {
             overflow.push_back(std::move(j));
+            continue;
           }
         }
-        queue_ = std::move(overflow);
+        if (j.opts.quarantine_after > 0 &&
+            !watched.insert(j.opts.to_string()).second) {
+          overflow.push_back(std::move(j));
+          continue;
+        }
+        if (key_count != nullptr) ++*key_count;
+        batch.push_back(std::move(j));
       }
+      queue_ = std::move(overflow);
       cv_space_.notify_all();
     }
     // Whole solves as unit work items, claimed in ascending index

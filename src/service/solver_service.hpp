@@ -35,12 +35,15 @@
 // through one job-scoped FaultInjector, so one-shot injected faults do
 // not re-fire and the retry is bitwise-identical to a clean solve.  A
 // spec that fails quarantine_after times consecutively is quarantined:
-// later identical specs fail fast instead of burning pool slots.
+// later identical specs fail fast instead of burning pool slots.  A
+// spec under quarantine watch dispatches at most one job per round, so
+// every breaker decision sees all earlier same-spec outcomes — the
+// verdicts follow submission order at any pool width.
 // After a corrupted verdict the cached matrix is re-validated against
 // its build-time checksum and the entry invalidated if mutated.  Every
 // job resolves to a terminal JobOutcome — the queue always drains.
 //
-// Every successfully-run job's SolveReport (schema tsbo.solve_report/7,
+// Every successfully-run job's SolveReport (schema tsbo.solve_report/8,
 // service + resilience objects filled in) is appended to a
 // service-level ReportLog for uniform --json artifacts.
 
@@ -139,6 +142,15 @@ class SolverService {
   std::uint64_t submit(const std::string& spec, std::vector<double> rhs);
   std::uint64_t submit(api::SolverOptions opts, std::vector<double> rhs);
 
+  /// Enqueues several solves under one lock, so the scheduler sees the
+  /// whole burst in one dispatch round (a loop of submit() calls races
+  /// the scheduler, which may start a round after the first job).
+  /// Validates every spec before enqueuing any; blocks until the queue
+  /// has room for the whole burst.  Returns the ids in burst order.
+  /// Throws std::invalid_argument when the burst exceeds queue_capacity.
+  std::vector<std::uint64_t> submit_burst(
+      std::vector<api::SolverOptions> burst);
+
   /// Blocks until job `id` completes and returns (consumes) its
   /// result.  Throws std::invalid_argument for unknown/claimed ids.
   JobResult wait(std::uint64_t id);
@@ -175,7 +187,8 @@ class SolverService {
     std::shared_ptr<par::CancelToken> token;
   };
 
-  std::uint64_t enqueue(Job job);
+  /// Enqueues `jobs` under one lock; returns their ids in order.
+  std::vector<std::uint64_t> enqueue(std::vector<Job> jobs);
   void scheduler_loop();
   void run_job(Job& job, std::uint64_t dispatch_seq);
   /// One solve attempt against the cached operator; fills res.report /

@@ -125,7 +125,6 @@ TEST(SolverOptions, RejectsOutOfRangeValuesWithRangeText) {
   };
   expect_range_error("m=0", "m=0");
   expect_range_error("s=-3", "s=-3");
-  expect_range_error("pipeline_depth=-1", "expected >= 0");
   expect_range_error("ranks=0", "ranks=0");
   expect_range_error("rtol=-1e-6", "a finite number > 0");
   expect_range_error("ny=-2", "0 inherits nx");
@@ -267,8 +266,8 @@ TEST(Registries, MatrixFileSourceRoundTripsThroughMatrixMarket) {
 }
 
 TEST(Registries, SelfRegisteredSchemeRunsThroughManagerFactory) {
-  // A "new" scheme plugs in by name: no OrthoScheme enum growth, the
-  // entry routes through SStepGmresConfig::manager_factory.
+  // A "new" scheme plugs in by name: the entry routes through
+  // SStepGmresConfig::manager_factory, like every built-in scheme.
   api::OrthoEntry entry;
   entry.description = "test-only alias of the two-stage manager";
   entry.sstep = true;
@@ -304,14 +303,13 @@ TEST(SolveReport, JsonMatchesGoldenSchema) {
   // Golden schema: the keys every consumer (compare tooling, plotting)
   // relies on must be present.
   for (const char* needle :
-       {"\"schema\": \"tsbo.solve_report/7\"", "\"options\"", "\"matrix\"",
+       {"\"schema\": \"tsbo.solve_report/8\"", "\"options\"", "\"matrix\"",
         "\"environment\"", "\"ranks\"", "\"threads\"", "\"result\"",
         "\"converged\"", "\"iters\"", "\"restarts\"", "\"relres\"",
         "\"true_relres\"", "\"time\"", "\"spmv\"", "\"ortho\"", "\"total\"",
         "\"ortho_breakdown\"", "\"phase_seconds\"", "\"comm\"",
         "\"allreduces\"", "\"bytes_exchanged\"", "\"exposed_seconds\"",
-        "\"overlapped_seconds\"", "\"lookahead_hits\"",
-        "\"lookahead_misses\"", "\"pipeline_depth\"", "\"service\"",
+        "\"overlapped_seconds\"", "\"service\"",
         "\"cache_hit\"", "\"warm_started\"", "\"reused\"", "\"history\"",
         "\"explicit_relres\"", "\"autopilot\"", "\"max_kappa_estimate\"",
         "\"rebase_recoveries\"", "\"final_s\"", "\"final_gram\"",
@@ -391,7 +389,9 @@ TEST(Facade, MatchesDirectKrylovRun) {
     const auto nloc = static_cast<std::size_t>(dist.n_local());
     std::vector<double> x(nloc, 0.0);
     krylov::SStepGmresConfig cfg;
-    cfg.scheme = krylov::OrthoScheme::kBcgsPip2;
+    cfg.manager_factory = [](const krylov::SStepGmresConfig&) {
+      return ortho::make_bcgs_pip2_manager();
+    };
     cfg.rtol = 1e-7;
     const auto res = krylov::sstep_gmres(
         comm, dist, nullptr,

@@ -69,7 +69,6 @@ DirectRun run_direct(
     const auto nloc = static_cast<std::size_t>(dist.n_local());
     std::vector<double> x(nloc, 0.0);
     krylov::SStepGmresConfig cfg;
-    cfg.scheme = krylov::OrthoScheme::kTwoStage;
     tweak(cfg);
     const auto res = krylov::sstep_gmres(
         comm, dist, nullptr, std::span<const double>(b.data() + begin, nloc),
@@ -93,7 +92,7 @@ TEST(Autopilot, CompletesWhereFixedConfigAborts) {
     EXPECT_THROW(solver.solve(), ortho::CholeskyBreakdown);
   }
   // Same problem, autopilot on: completes to tolerance, and the report
-  // carries the decision trail (schema tsbo.solve_report/7).
+  // carries the decision trail (schema tsbo.solve_report/8).
   api::SolverOptions opts = api::SolverOptions::parse(kRampSpec);
   opts.autopilot = true;
   api::Solver solver(opts);
@@ -112,7 +111,7 @@ TEST(Autopilot, CompletesWhereFixedConfigAborts) {
 
   const std::string text = rep.json();
   for (const char* needle :
-       {"\"schema\": \"tsbo.solve_report/7\"", "\"autopilot\"",
+       {"\"schema\": \"tsbo.solve_report/8\"", "\"autopilot\"",
         "\"enabled\": true", "\"rebase_recoveries\"", "\"final_s\"",
         "\"kind\": \"shrink_s\"", "\"kind\": \"rebase\""}) {
     EXPECT_NE(text.find(needle), std::string::npos) << "missing " << needle;

@@ -46,7 +46,6 @@ BlockRun run_block_direct(
     const auto nloc = static_cast<std::size_t>(dist.n_local());
     std::vector<double> xloc(nloc * static_cast<std::size_t>(k), 0.0);
     krylov::BlockSStepGmresConfig cfg;
-    cfg.base.scheme = krylov::OrthoScheme::kTwoStage;
     if (tweak) tweak(cfg);
     const dense::ConstMatrixView bv{b.data() + begin,
                                     static_cast<dense::index_t>(nloc),
@@ -102,7 +101,6 @@ std::pair<krylov::SolveResult, std::vector<double>> run_scalar_direct(
     const auto nloc = static_cast<std::size_t>(dist.n_local());
     std::vector<double> xloc(nloc, 0.0);
     krylov::SStepGmresConfig cfg;
-    cfg.scheme = krylov::OrthoScheme::kTwoStage;
     const auto res = krylov::sstep_gmres(
         comm, dist, nullptr, std::span<const double>(b.data() + begin, nloc),
         xloc, cfg);

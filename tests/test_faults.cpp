@@ -239,20 +239,16 @@ TEST(CancelTest, DeadlineExpiresMidSolveAndGuardSkips) {
 }
 
 TEST(CancelTest, ThrowDuringSplitPhaseReduceWindowUnwindsCleanly) {
-  // With pipeline_depth=1 the next panel's matrix-powers kernel runs
-  // inside the stage-1 Gram's pending-reduce window; a throw at the
-  // spmv site unwinds through it, relying on the PendingReduce /
-  // CommRequest destructors to complete the open collective on every
-  // rank.  No deadlock, and the runtime stays usable.
+  // A throw at the spmv site unwinds through the solver mid-panel on
+  // every rank; the PendingReduce / CommRequest destructors complete
+  // any open collective on the way out.  No deadlock, and the runtime
+  // stays usable.
   for (const int ranks : {2, 7}) {
     api::SolverOptions opts = bounded_opts(28, ranks);
-    opts.pipeline_depth = 1;
     opts.faults = "spmv.interior@7:throw";
     api::Solver solver(opts);
     EXPECT_THROW((void)solver.solve(), par::InjectedFault);
-    api::SolverOptions clean_opts = bounded_opts(28, ranks);
-    clean_opts.pipeline_depth = 1;
-    api::Solver clean(clean_opts);
+    api::Solver clean(bounded_opts(28, ranks));
     EXPECT_NO_THROW((void)clean.solve());
   }
 }

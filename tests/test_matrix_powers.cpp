@@ -193,7 +193,6 @@ TEST(MatrixPowers, SolverUnaffectedByInjectedLatency) {
       const auto nloc = static_cast<std::size_t>(dist.n_local());
       std::vector<double> x(nloc, 0.0);
       krylov::SStepGmresConfig cfg;
-      cfg.scheme = krylov::OrthoScheme::kTwoStage;
       cfg.rtol = 1e-7;
       const auto r = krylov::sstep_gmres(
           comm, dist, nullptr,

@@ -327,93 +327,10 @@ TEST(CommRequest, ExchangeWindowDiscountsP2pLatency) {
   });
 }
 
-// ---- multi-request split-phase coverage -----------------------------
-
-TEST_P(SpmdRanks, MultipleRequestsInFlightMatchBlockingOutOfOrder) {
-  // Several collectives of different kinds in flight at once; waits in
-  // an order different from issue order (but identical on every rank).
-  const int p = GetParam();
-  par::spmd_run(p, [&](par::Communicator& comm) {
-    const double r = comm.rank();
-    std::vector<double> a = {1.0 + r, -r}, ab = a;
-    std::vector<double> b = {0.5 * r, r * r, 3.0}, bb = b;
-    std::vector<double> hi = {1.0 + r, -2.5}, lo = {1e-18 * r, 3e-40};
-    std::vector<double> hib = hi, lob = lo;
-    std::vector<double> c = {comm.rank() == 0 ? 42.0 : -1.0}, cb = c;
-    comm.allreduce_sum(ab);
-    comm.allreduce_sum(bb);
-    comm.allreduce_sum_dd(hib, lob);
-    comm.broadcast(cb, 0);
-
-    auto ra = comm.iallreduce_sum(a);
-    auto rb = comm.iallreduce_sum(b);
-    auto rd = comm.iallreduce_sum_dd(hi, lo);
-    auto rc = comm.ibroadcast(c, 0);
-    rb.wait();
-    rd.wait();
-    ra.wait();
-    rc.wait();
-    EXPECT_EQ(a, ab);
-    EXPECT_EQ(b, bb);
-    EXPECT_EQ(hi, hib);
-    EXPECT_EQ(lo, lob);
-    EXPECT_EQ(c, cb);
-  });
-}
-
-TEST_P(SpmdRanks, RequestRingFillsToCapAndDrainsReversed) {
-  // kMaxInflight simultaneous reduces, waited newest-first: slot reuse
-  // and out-of-order completion must not mix payloads up.
-  const int p = GetParam();
-  par::spmd_run(p, [&](par::Communicator& comm) {
-    const double r = comm.rank();
-    std::vector<std::vector<double>> v(par::kMaxInflight);
-    std::vector<par::CommRequest> reqs;
-    for (int k = 0; k < par::kMaxInflight; ++k) {
-      v[static_cast<std::size_t>(k)] = {k + r, 100.0 * k - r};
-      reqs.push_back(comm.iallreduce_sum(v[static_cast<std::size_t>(k)]));
-    }
-    for (int k = par::kMaxInflight - 1; k >= 0; --k) {
-      reqs[static_cast<std::size_t>(k)].wait();
-    }
-    const double rsum = p * (p - 1) / 2.0;  // sum of ranks
-    for (int k = 0; k < par::kMaxInflight; ++k) {
-      EXPECT_DOUBLE_EQ(v[static_cast<std::size_t>(k)][0], p * k + rsum);
-      EXPECT_DOUBLE_EQ(v[static_cast<std::size_t>(k)][1], 100.0 * k * p - rsum);
-    }
-  });
-}
-
-TEST(CommRequest, DestructorCompletesWithPendingSiblings) {
-  // Dropping one active request while siblings are still in flight must
-  // complete only the dropped one; the siblings stay valid.
-  std::vector<double> out(3 * 3, 0.0);
-  par::spmd_run(3, [&](par::Communicator& comm) {
-    double x = 1.0, y = 10.0 + comm.rank(), z = 100.0;
-    auto rx = comm.iallreduce_sum(std::span<double>(&x, 1));
-    auto rz = comm.iallreduce_sum(std::span<double>(&z, 1));
-    {
-      auto ry = comm.iallreduce_sum(std::span<double>(&y, 1));
-    }  // destructor waits on ry with rx/rz still pending
-    rx.wait();
-    rz.wait();
-    const auto o = static_cast<std::size_t>(3 * comm.rank());
-    out[o] = x;
-    out[o + 1] = y;
-    out[o + 2] = z;
-  });
-  for (int r = 0; r < 3; ++r) {
-    const auto o = static_cast<std::size_t>(3 * r);
-    EXPECT_DOUBLE_EQ(out[o], 3.0);
-    EXPECT_DOUBLE_EQ(out[o + 1], 33.0);  // 10+11+12
-    EXPECT_DOUBLE_EQ(out[o + 2], 300.0);
-  }
-}
-
 TEST(CommRequest, NestedExchangeInsideReduceWindowCreditsBothWindows) {
-  // A halo exchange nested inside a pending reduce window (the
-  // pipelined SpMV-under-reduce pattern): one compute stretch spanning
-  // both windows earns each its own full overlap credit.
+  // A halo exchange nested inside a pending reduce window (it has its
+  // own publication slot): one compute stretch spanning both windows
+  // earns each its own full overlap credit.
   const auto model = par::NetworkModel::cluster();
   const double modeled_ar = model.allreduce_seconds(2, 8);
   const double modeled_x = model.p2p_seconds(64);

@@ -211,7 +211,7 @@ TEST(Service, ReportCarriesServiceObject) {
   (void)svc.wait(svc.submit(opts));
   const service::JobResult warm = svc.wait(svc.submit(opts));
   const std::string json = warm.report.json();
-  EXPECT_NE(json.find("\"schema\": \"tsbo.solve_report/7\""),
+  EXPECT_NE(json.find("\"schema\": \"tsbo.solve_report/8\""),
             std::string::npos);
   EXPECT_NE(json.find("\"service\": {"), std::string::npos);
   EXPECT_NE(json.find("\"cache_hit\": true"), std::string::npos);
@@ -321,6 +321,34 @@ TEST(Service, QuarantineAfterConsecutiveFailures) {
   EXPECT_EQ(svc.wait(svc.submit(good)).outcome, service::JobOutcome::kOk);
 }
 
+TEST(Service, QuarantineVerdictsFollowSubmissionOrderAtAnyPoolWidth) {
+  // The same doomed spec four times in one burst, so every job is queued
+  // before the first dispatch round: the verdicts must still follow
+  // submission order however many pool lanes could run them at once.
+  api::SolverOptions bad = bounded_opts(24, 2);
+  bad.faults =
+      "comm.allreduce@0:throw;comm.allreduce@1:throw;comm.allreduce@2:throw";
+  bad.retries = 2;
+  bad.quarantine_after = 2;
+  api::SolverOptions good = bounded_opts(28, 2);
+  good.quarantine_after = 2;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    par::set_num_threads(threads);
+    service::SolverService svc;
+    (void)svc.submit_burst({bad, good, bad, bad, bad});
+    const std::vector<service::JobResult> results = svc.drain();
+    ASSERT_EQ(results.size(), 5u);
+    EXPECT_EQ(results[0].outcome, service::JobOutcome::kFailed) << threads;
+    EXPECT_EQ(results[1].outcome, service::JobOutcome::kOk) << threads;
+    EXPECT_EQ(results[2].outcome, service::JobOutcome::kFailed) << threads;
+    EXPECT_EQ(results[3].outcome, service::JobOutcome::kQuarantined)
+        << threads;
+    EXPECT_EQ(results[4].outcome, service::JobOutcome::kQuarantined)
+        << threads;
+  }
+  par::set_num_threads(0);
+}
+
 TEST(Service, CancelReachesQueuedAndRunningJobs) {
   // Job A holds the scheduler's first dispatch round long enough for B
   // to be submitted and cancelled while still queued: B then resolves
@@ -376,20 +404,22 @@ TEST(Service, DeadlineTimesOutButQueueDrains) {
 TEST(Service, MaxInflightPerKeyCapsBurstsButKeepsRelativeOrder) {
   // Uncapped reference run (threads=1: completion order == dispatch).
   par::set_num_threads(1);
-  const std::vector<int> burst_nx = {24, 24, 24, 28, 32};
+  // The burst is enqueued atomically, so the first dispatch round sees
+  // all five jobs whatever the host load.
+  std::vector<api::SolverOptions> burst;
+  for (const int nx : {24, 24, 24, 28, 32}) burst.push_back(bounded_opts(nx, 2));
   std::vector<std::vector<double>> ref;
   {
     service::SolverService svc;
-    std::vector<std::uint64_t> ids;
-    for (const int nx : burst_nx) ids.push_back(svc.submit(bounded_opts(nx, 2)));
-    for (const std::uint64_t id : ids) ref.push_back(svc.wait(id).solution);
+    for (const std::uint64_t id : svc.submit_burst(burst)) {
+      ref.push_back(svc.wait(id).solution);
+    }
   }
 
   service::ServiceConfig cfg;
   cfg.max_inflight_per_key = 1;
   service::SolverService svc(cfg);
-  std::vector<std::uint64_t> ids;
-  for (const int nx : burst_nx) ids.push_back(svc.submit(bounded_opts(nx, 2)));
+  const std::vector<std::uint64_t> ids = svc.submit_burst(burst);
   std::vector<service::JobResult> results;
   for (const std::uint64_t id : ids) results.push_back(svc.wait(id));
 
