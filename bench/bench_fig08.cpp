@@ -16,8 +16,9 @@
 // (s=15, double-precision Gram, breakdown=throw) configuration aborts
 // with CholeskyBreakdown, the same problem with autopilot=1 completes
 // the solve (shrinking s / escalating the Gram / re-basing as the
-// conditioning monitor demands).  --json dumps the autopilot run's
-// SolveReport (schema tsbo.solve_report/8) for the CI gate.
+// conditioning monitor demands), both for one right-hand side and for a
+// rhs=2 batch.  --json dumps the autopilot runs' SolveReports (schema
+// tsbo.solve_report/8) for the CI gate.
 //
 //   bench_fig08 [--n=20000] [--m=180] [--bs=60] [--s=5]
 //               [--json=fig08.json]
@@ -35,9 +36,9 @@
 
 namespace {
 
-/// Fixed-config vs autopilot runs on the Ga41As41H72 surrogate; returns
-/// false when the autopilot run fails to complete (the CI gate's
-/// failure condition).
+/// Fixed-config vs autopilot runs (rhs=1 and a rhs=2 batch) on the
+/// Ga41As41H72 surrogate; returns false when an autopilot run fails to
+/// complete (the CI gate's failure condition).
 bool run_autopilot_ablation(tsbo::api::ReportLog& log) {
   using namespace tsbo;
   // The aggressive configuration: s = 15 monomial steps overruns the
@@ -51,7 +52,7 @@ bool run_autopilot_ablation(tsbo::api::ReportLog& log) {
       "\n# Stability-autopilot ablation: Ga41As41H72 surrogate (n=800, "
       "m=60, s=15, bs=60, rtol=1e-8)\n"
       "# expected: fixed config aborts with CholeskyBreakdown; "
-      "autopilot=1 completes the solve\n\n");
+      "autopilot=1 completes the solve, for rhs=1 and a rhs=2 batch\n\n");
 
   util::Table table({"config", "outcome", "relres", "restarts", "final s",
                      "final gram", "rebases", "events"});
@@ -82,16 +83,20 @@ bool run_autopilot_ablation(tsbo::api::ReportLog& log) {
     }
   }
 
-  bool ok = false;
-  {
+  // The autopilot covers batched solves too: the same ramp as a
+  // two-column block (rhs=2) must complete as well.
+  bool ok = true;
+  for (const int rhs : {1, 2}) {
     api::SolverOptions ap = fixed;
     ap.autopilot = true;
+    ap.rhs = rhs;
+    const char* label = rhs == 1 ? "autopilot=1" : "autopilot=1 rhs=2";
     api::Solver solver(ap);
     try {
       const api::SolveReport rep = solver.solve();
-      ok = rep.result.converged;
+      ok = ok && rep.result.converged;
       table.row()
-          .add("autopilot=1")
+          .add(label)
           .add(rep.result.converged ? "converged" : "stalled")
           .add(util::sci(rep.result.relres))
           .add(rep.result.restarts)
@@ -100,6 +105,7 @@ bool run_autopilot_ablation(tsbo::api::ReportLog& log) {
           .add(rep.result.rebase_recoveries)
           .add(static_cast<int>(rep.result.autopilot_events.size()));
       log.add(rep);
+      std::printf("# %s decisions:\n", label);
       for (const krylov::AutopilotEvent& ev : rep.result.autopilot_events) {
         std::printf("#   restart %2d: %-13s kappa-est %.2e  s %d -> %d  "
                     "gram %s -> %s\n",
@@ -109,8 +115,9 @@ bool run_autopilot_ablation(tsbo::api::ReportLog& log) {
                     ev.dd_after ? "dd" : "d");
       }
     } catch (const ortho::CholeskyBreakdown&) {
+      ok = false;
       table.row()
-          .add("autopilot=1")
+          .add(label)
           .add("ABORTED (CholeskyBreakdown)")
           .add("-")
           .add("-")
@@ -212,7 +219,7 @@ int main(int argc, char** argv) {
   const bool ap_ok = run_autopilot_ablation(log);
   if (log.save(json_path)) std::printf("\n# wrote %s\n", json_path.c_str());
   if (!ap_ok) {
-    std::printf("\n# FAIL: autopilot run did not complete\n");
+    std::printf("\n# FAIL: an autopilot run did not complete\n");
     return 1;
   }
   return 0;

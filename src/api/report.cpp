@@ -43,7 +43,8 @@ void SolveReport::write_json(util::JsonWriter& w) const {
       .kv("cancelled", result.cancelled)
       .kv("deadline_expired", result.deadline_expired);
 
-  // Per-RHS outcomes of a block (rhs=k) solve; empty for single-RHS.
+  // Per-RHS outcomes of an s-step solve, one per column; empty for
+  // standard GMRES.
   w.key("results").begin_array();
   for (std::size_t t = 0; t < result.rhs_results.size(); ++t) {
     const krylov::RhsResult& rr = result.rhs_results[t];

@@ -51,7 +51,8 @@ namespace tsbo::api {
 /// attempts=1 unless their own guard or cancellation says otherwise.
 /// /7: batched multi-RHS (rhs=k) solves — the result section grew a
 /// per-RHS results[] array (index / converged / iters / relres /
-/// true_relres / deflated_at_restart, empty for single-RHS solves;
+/// true_relres / deflated_at_restart; one entry per column of an
+/// s-step solve, rhs=1 included, and empty for standard GMRES;
 /// the scalar result fields then aggregate: converged = all columns,
 /// relres/true_relres = worst column), and the resilience guard grew a
 /// matching per-column columns[] array (verdict + true_relres per RHS)

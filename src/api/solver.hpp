@@ -38,7 +38,7 @@ std::vector<double> ones_rhs(const sparse::CsrMatrix& a);
 /// Column 0 is exactly ones_rhs (so rhs=1 batches match single-RHS
 /// runs); columns t > 0 solve deterministic per-column perturbations
 /// of the ones vector, keeping the RHS block full-rank — a
-/// rank-deficient block would make the block solver's seed CholQR
+/// rank-deficient block would make the s-step solver's seed CholQR
 /// singular.
 std::vector<double> batch_rhs(const sparse::CsrMatrix& a, int k);
 

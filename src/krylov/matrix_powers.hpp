@@ -32,9 +32,11 @@ class PrecOperator {
   void apply(par::Communicator& comm, std::span<const double> x,
              std::span<double> y, util::PhaseTimers* timers) const;
 
-  /// Multi-column operator apply Y = A M^{-1} X: one fused
-  /// preconditioner sweep plus ONE halo exchange for all b columns
-  /// (DistCsr::spmm).  Column-major rank-local views.
+  /// Multi-column operator apply Y = A M^{-1} X (column-major
+  /// rank-local views).  One column runs apply() — the gather-vectorized
+  /// spmv, which rounds differently from spmm; wider blocks take one
+  /// fused preconditioner sweep plus ONE halo exchange for all columns
+  /// (DistCsr::spmm).
   void apply_block(par::Communicator& comm, dense::ConstMatrixView x,
                    dense::MatrixView y, util::PhaseTimers* timers) const;
 
@@ -43,7 +45,8 @@ class PrecOperator {
   void apply_minv(std::span<const double> x, std::span<double> y,
                   util::PhaseTimers* timers) const;
 
-  /// Multi-column M^{-1} apply (identity copy when no preconditioner).
+  /// Multi-column M^{-1} apply (identity copy when no preconditioner);
+  /// one column runs apply_minv().
   void apply_minv_multi(dense::ConstMatrixView x, dense::MatrixView y,
                         util::PhaseTimers* timers) const;
 
@@ -54,25 +57,17 @@ class PrecOperator {
   mutable util::aligned_vector<double> tmp_multi_;  ///< nloc x b scratch
 };
 
-/// Runs MPK: fills basis columns [first_out, first_out + s) from the
-/// recurrence v_{k+1} = (Op x_k - theta_k x_k - sigma_k v_{k-1}) /
-/// gamma_k, where x_k is basis column first_out - 1 + k_local and the
-/// global step index is its column index.
+/// Runs MPK on a basis of b-column blocks (flat column c belongs to
+/// block c / b; b = 1 is the single-vector basis): fills blocks
+/// [first_out, first_out + s) from the recurrence
+///   V_{j+1} = (Op X_j - theta_j X_j - sigma_j V_{j-1}) / gamma_j,
+/// where X_j is block j and the step index j counts BLOCKS (block
+/// first_out - 1 + k is the input of local step k).  Each step is one
+/// operator application: one preconditioner sweep plus ONE halo
+/// exchange for all b columns.
 void matrix_powers(par::Communicator& comm, const PrecOperator& op,
                    const KrylovBasis& basis, dense::MatrixView basis_cols,
-                   index_t first_out, index_t s, util::PhaseTimers* timers);
-
-/// Block MPK for block s-step GMRES: fills basis BLOCK columns
-/// [first_out_block, first_out_block + s) — each block is b flat
-/// columns — from the same three-term recurrence applied blockwise,
-/// with the step index counted in BLOCKS (block j uses basis.step(j-1)
-/// for its generation, matching the single-RHS solver's per-column
-/// step indexing at b == 1).  Each of the s steps costs one fused
-/// operator application (one preconditioner sweep + ONE halo
-/// exchange for all b columns).
-void matrix_powers_block(par::Communicator& comm, const PrecOperator& op,
-                         const KrylovBasis& basis, dense::MatrixView basis_cols,
-                         index_t first_out_block, index_t s, index_t b,
-                         util::PhaseTimers* timers);
+                   index_t first_out, index_t s, index_t b,
+                   util::PhaseTimers* timers);
 
 }  // namespace tsbo::krylov

@@ -69,9 +69,9 @@ struct AutopilotEvent {
   bool dd_after = false;
 };
 
-/// Per-right-hand-side outcome of a block (multi-RHS) solve.  The
-/// block solver tracks each column's convergence independently and
-/// deflates converged columns at restart boundaries.
+/// Per-right-hand-side outcome of an s-step solve.  The solver tracks
+/// each column's convergence independently and deflates converged
+/// columns at restart boundaries.
 struct RhsResult {
   bool converged = false;
   long iters = 0;          ///< flat inner iterations the column was active for
@@ -117,10 +117,10 @@ struct SolveResult {
   index_t autopilot_final_s = 0;     ///< step size in effect at exit
   bool autopilot_final_dd = false;   ///< Gram precision in effect at exit
 
-  /// Per-RHS outcomes of a block (rhs=k) solve, in column order; empty
-  /// for single-RHS solves.  The scalar fields above then aggregate:
-  /// converged = all columns converged, relres/true_relres = the worst
-  /// column's.
+  /// Per-RHS outcomes of an s-step solve, one per column in column
+  /// order (standard GMRES leaves it empty).  The scalar fields above
+  /// aggregate them: converged = all columns converged,
+  /// relres/true_relres = the worst column's.
   std::vector<RhsResult> rhs_results;
 
   /// Convenience sums over the timer buckets (seconds).

@@ -1,9 +1,10 @@
 #pragma once
 // s-step (communication-avoiding) GMRES — paper Fig. 1 — with pluggable
-// block orthogonalization (paper Sections IV-V).
+// block orthogonalization (paper Sections IV-V), for a block of k
+// right-hand sides; one right-hand side is the width-1 block.
 //
 // Per outer block: the matrix-powers kernel generates s new basis
-// vectors (standard MPK: s sequential preconditioned SpMVs), then the
+// blocks (standard MPK: s sequential preconditioned SpMVs), then the
 // configured BlockOrthoManager orthogonalizes them.  The Hessenberg
 // matrix is assembled from the accumulated R/L coefficient matrices
 // (H L = R-shifted; see hessenberg.hpp) for every column the manager
@@ -11,6 +12,34 @@
 // every s steps for the one-stage schemes, every bs steps for the
 // two-stage scheme — reproducing the paper's iteration-count rounding
 // (Table III: 60251 / 60255 / 60300).
+//
+// Block GMRES (phist's bgmres.m): the basis interleaves the bw active
+// right-hand sides — flat column c = j*bw + t carries RHS t's part of
+// block step j — so a panel is s*bw flat columns wide and the manager
+// runs on m*bw / s*bw / bs*bw flat columns.  The synchronization count
+// per outer iteration does not depend on the width (panels get wider,
+// not more numerous), and every operator application is ONE halo
+// exchange for all bw columns.  The restart seed is the CholQR of the
+// active residual block; its factor S0 forms the least-squares
+// right-hand side E1 S0, solved by one Householder reflector per column.
+//
+// Width 1 runs the single-vector kernels: the gather-vectorized spmv
+// and the scalar M^{-1} (PrecOperator), one norm reduce and a
+// reciprocal scale at the restart boundary, Givens rotations for the
+// least squares and gemv for the correction.  Results are
+// bitwise-reproducible across thread counts and stable across rank
+// counts at every width.
+//
+// Convergence, per RHS column: the recurrence estimate or the explicit
+// residual recomputed at the restart boundary reaches rtol * ref.  A
+// converged column is DEFLATED at that boundary — its solution column
+// freezes and the next cycle restarts with a narrower block — so one
+// hard RHS cannot force converged ones to keep iterating.
+//
+// The stability autopilot and the conditioning monitor cover every
+// width: panel kappa estimates, the step-size ladder (s | bs kept),
+// the double-double Gram escalation and the re-base after a
+// CholeskyBreakdown all act on the bw-wide panels.
 
 #include "krylov/gmres.hpp"
 #include "krylov/matrix_powers.hpp"
@@ -19,7 +48,7 @@
 
 #include <functional>
 #include <memory>
-#include <span>
+#include <vector>
 
 namespace tsbo::krylov {
 
@@ -47,10 +76,11 @@ struct SStepGmresConfig {
   double lambda_max = 0.0;
 
   double rtol = 1e-6;
-  /// Convergence reference norm; 0 = relative to ||b - A x0|| (the
-  /// classic criterion), > 0 = relative to this fixed norm (see
+  /// Convergence reference norms, one per RHS column.  Empty = each
+  /// column relative to its own ||b - A x0|| (the classic criterion);
+  /// otherwise one fixed norm per column, used where > 0 (see
   /// GmresConfig::conv_reference — the warm-start path).
-  double conv_reference = 0.0;
+  std::vector<double> conv_reference;
   long max_iters = 1000000;
   int max_restarts = 1000000;
   ortho::BreakdownPolicy policy = ortho::BreakdownPolicy::kShift;
@@ -106,11 +136,13 @@ struct SStepGmresConfig {
   ManagerFactory manager_factory = two_stage_manager;
 };
 
-/// Solves A M^{-1} u = b, x += M^{-1} u from the initial guess in `x`.
-/// Collective over `comm`; b and x are rank-local row blocks.
+/// Solves A M^{-1} U = B, X += M^{-1} U for the k = b.cols right-hand
+/// sides in `b` from the initial guesses in `x` (rank-local row blocks,
+/// column-major).  Collective over `comm`.  SolveResult::rhs_results
+/// holds one entry per column; the scalar fields aggregate them.
 SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
                         const precond::Preconditioner* m_prec,
-                        std::span<const double> b, std::span<double> x,
+                        dense::ConstMatrixView b, dense::MatrixView x,
                         const SStepGmresConfig& cfg);
 
 /// Builds the manager the config's factory names (exposed for

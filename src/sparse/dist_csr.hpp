@@ -87,8 +87,8 @@ class DistCsr {
   /// peers always read a consistent interleaved span.  Per-column
   /// accumulation uses the plain serial row kernel (no SIMD gather) —
   /// bits are thread- and rank-count invariant, but a k=1 spmm is NOT
-  /// bitwise-identical to spmv() on gather-vectorized wide rows; the
-  /// block solver delegates k=1 to the single-vector path instead.
+  /// bitwise-identical to spmv() on gather-vectorized wide rows, so
+  /// the s-step solver runs a width-1 block through spmv() instead.
   void spmm(par::Communicator& comm, dense::ConstMatrixView x_local,
             dense::MatrixView y_local, util::PhaseTimers* timers = nullptr) const;
 

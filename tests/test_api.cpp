@@ -395,7 +395,12 @@ TEST(Facade, MatchesDirectKrylovRun) {
     cfg.rtol = 1e-7;
     const auto res = krylov::sstep_gmres(
         comm, dist, nullptr,
-        std::span<const double>(b.data() + begin, nloc), x, cfg);
+        dense::ConstMatrixView{b.data() + begin,
+                               static_cast<dense::index_t>(nloc), 1,
+                               static_cast<dense::index_t>(nloc)},
+        dense::MatrixView{x.data(), static_cast<dense::index_t>(nloc), 1,
+                          static_cast<dense::index_t>(nloc)},
+        cfg);
     std::copy(x.begin(), x.end(),
               x_direct.begin() + static_cast<std::ptrdiff_t>(begin));
     if (comm.rank() == 0) direct = res;

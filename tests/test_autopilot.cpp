@@ -71,8 +71,13 @@ DirectRun run_direct(
     krylov::SStepGmresConfig cfg;
     tweak(cfg);
     const auto res = krylov::sstep_gmres(
-        comm, dist, nullptr, std::span<const double>(b.data() + begin, nloc),
-        x, cfg);
+        comm, dist, nullptr,
+        dense::ConstMatrixView{b.data() + begin,
+                               static_cast<dense::index_t>(nloc), 1,
+                               static_cast<dense::index_t>(nloc)},
+        dense::MatrixView{x.data(), static_cast<dense::index_t>(nloc), 1,
+                          static_cast<dense::index_t>(nloc)},
+        cfg);
     std::copy(x.begin(), x.end(),
               out.x.begin() + static_cast<std::ptrdiff_t>(begin));
     if (comm.rank() == 0) out.res = res;
@@ -116,6 +121,42 @@ TEST(Autopilot, CompletesWhereFixedConfigAborts) {
         "\"kind\": \"shrink_s\"", "\"kind\": \"rebase\""}) {
     EXPECT_NE(text.find(needle), std::string::npos) << "missing " << needle;
   }
+}
+
+TEST(Autopilot, BatchedRampCompletesByRebasing) {
+  // The autopilot covers block solves: the same ramp as a two-column
+  // batch, whose panels are s*2 flat columns wide, completes instead of
+  // aborting, through at least one re-base.
+  api::SolverOptions opts = api::SolverOptions::parse(kRampSpec);
+  opts.autopilot = true;
+  opts.rhs = 2;
+  opts.ranks = 2;
+  api::Solver solver(opts);
+  api::SolveReport rep;
+  ASSERT_NO_THROW(rep = solver.solve());
+
+  EXPECT_TRUE(rep.result.converged);
+  ASSERT_EQ(rep.result.rhs_results.size(), 2u);
+  for (const krylov::RhsResult& rr : rep.result.rhs_results) {
+    EXPECT_TRUE(rr.converged);
+  }
+  bool rebased = false;
+  for (const auto& ev : rep.result.autopilot_events) {
+    if (ev.kind == "rebase") rebased = true;
+  }
+  EXPECT_TRUE(rebased) << ::testing::PrintToString(trail_of(rep.result));
+}
+
+TEST(Autopilot, MonitorCoversBatchedSolves) {
+  // The conditioning monitor runs on block panels too: a batch reports
+  // a positive basis-kappa estimate and the step size in effect.
+  api::Solver solver(api::SolverOptions::parse(
+      "solver=sstep matrix=laplace2d_5pt nx=40 rtol=1e-8 s=5 rhs=2 "
+      "ranks=2"));
+  const api::SolveReport rep = solver.solve();
+  EXPECT_TRUE(rep.result.converged);
+  EXPECT_GT(rep.result.autopilot_max_kappa, 0.0);
+  EXPECT_EQ(rep.result.autopilot_final_s, 5);
 }
 
 // ---------------------------------------------------------------------------

@@ -142,7 +142,8 @@ TEST(Hessenberg, RecoversArnoldiRelationMonomial) {
 
   const auto basis = KrylovBasis::monomial(m);
   Matrix h(m + 1, m);
-  krylov::assemble_hessenberg(r.view(), l.view(), basis, s, 0, m, h.view());
+  krylov::assemble_hessenberg(r.view(), l.view(), basis, s, 1, 0, m,
+                              h.view());
 
   // H satisfies the Arnoldi relation in the ORTHONORMAL basis:
   // A Q = Q_{m+1} H (the construction solves H L = Rhat, and
@@ -176,9 +177,10 @@ TEST(Hessenberg, ProgressiveAssemblyMatchesOneShot) {
   const auto basis = KrylovBasis::monomial(m);
 
   Matrix h1(m + 1, m), h2(m + 1, m);
-  krylov::assemble_hessenberg(r.view(), l.view(), basis, s, 0, m, h1.view());
+  krylov::assemble_hessenberg(r.view(), l.view(), basis, s, 1, 0, m,
+                              h1.view());
   for (index_t c = 0; c < m; c += s) {
-    krylov::assemble_hessenberg(r.view(), l.view(), basis, s, c, c + s,
+    krylov::assemble_hessenberg(r.view(), l.view(), basis, s, 1, c, c + s,
                                 h2.view());
   }
   EXPECT_LT(dense::max_abs_diff(h1.view(), h2.view()), 1e-13);
@@ -192,7 +194,8 @@ TEST(Hessenberg, ThrowsOnSingularL) {
   const auto basis = KrylovBasis::monomial(m);
   Matrix h(m + 1, m);
   EXPECT_THROW(
-      krylov::assemble_hessenberg(r.view(), l.view(), basis, 2, 0, m, h.view()),
+      krylov::assemble_hessenberg(r.view(), l.view(), basis, 2, 1, 0, m,
+                                  h.view()),
       std::runtime_error);
 }
 

@@ -43,7 +43,7 @@ TEST(MatrixPowers, MonomialMatchesRepeatedSpmv) {
     const auto basis = krylov::KrylovBasis::monomial(8);
     Matrix cols(n, s + 1);
     for (index_t i = 0; i < n; ++i) cols(i, 0) = ref[0][static_cast<std::size_t>(i)];
-    krylov::matrix_powers(comm, op, basis, cols.view(), 1, s, nullptr);
+    krylov::matrix_powers(comm, op, basis, cols.view(), 1, s, 1, nullptr);
     for (index_t k = 0; k <= s; ++k) {
       for (index_t i = 0; i < n; ++i) {
         ASSERT_NEAR(cols(i, k), ref[static_cast<std::size_t>(k)][static_cast<std::size_t>(i)],
@@ -67,7 +67,7 @@ TEST(MatrixPowers, NewtonRecurrenceHoldsExactly) {
     Matrix cols(n, s + 1);
     util::Xoshiro256 rng(7);
     util::fill_normal(rng, std::span<double>(cols.col(0), static_cast<std::size_t>(n)));
-    krylov::matrix_powers(comm, op, basis, cols.view(), 1, s, nullptr);
+    krylov::matrix_powers(comm, op, basis, cols.view(), 1, s, 1, nullptr);
 
     // Check A x_k = gamma v_{k+1} + theta x_k for every step.
     std::vector<double> ax(static_cast<std::size_t>(n));
@@ -95,7 +95,7 @@ TEST(MatrixPowers, ChebyshevThreeTermRecurrence) {
     Matrix cols(n, s + 1);
     util::Xoshiro256 rng(9);
     util::fill_normal(rng, std::span<double>(cols.col(0), static_cast<std::size_t>(n)));
-    krylov::matrix_powers(comm, op, basis, cols.view(), 1, s, nullptr);
+    krylov::matrix_powers(comm, op, basis, cols.view(), 1, s, 1, nullptr);
 
     std::vector<double> ax(static_cast<std::size_t>(n));
     for (index_t k = 0; k < s; ++k) {
@@ -154,7 +154,7 @@ TEST(MatrixPowers, DistributedMatchesSequential) {
     krylov::PrecOperator op(dist, nullptr);
     for (index_t i = 0; i < n; ++i) seq(i, 0) = start[static_cast<std::size_t>(i)];
     krylov::matrix_powers(comm, op, krylov::KrylovBasis::monomial(s), seq.view(),
-                          1, s, nullptr);
+                          1, s, 1, nullptr);
   });
 
   Matrix dist_out(n, s + 1);
@@ -169,7 +169,7 @@ TEST(MatrixPowers, DistributedMatchesSequential) {
       local(i, 0) = start[static_cast<std::size_t>(begin + i)];
     }
     krylov::matrix_powers(comm, op, krylov::KrylovBasis::monomial(s),
-                          local.view(), 1, s, nullptr);
+                          local.view(), 1, s, 1, nullptr);
     dense::copy(local.view(), dist_out.view().block(begin, 0, nloc, s + 1));
   });
   EXPECT_LT(dense::max_abs_diff(seq.view(), dist_out.view()), 1e-11);
@@ -196,7 +196,12 @@ TEST(MatrixPowers, SolverUnaffectedByInjectedLatency) {
       cfg.rtol = 1e-7;
       const auto r = krylov::sstep_gmres(
           comm, dist, nullptr,
-          std::span<const double>(b.data() + begin, nloc), x, cfg);
+          dense::ConstMatrixView{b.data() + begin,
+                                 static_cast<dense::index_t>(nloc), 1,
+                                 static_cast<dense::index_t>(nloc)},
+          dense::MatrixView{x.data(), static_cast<dense::index_t>(nloc), 1,
+                            static_cast<dense::index_t>(nloc)},
+          cfg);
       if (comm.rank() == 0) {
         iters = r.iters;
         relres = r.true_relres;

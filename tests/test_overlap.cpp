@@ -62,7 +62,7 @@ TEST(Overlap, MatrixPowersOverlapsEveryExchange) {
                                         static_cast<std::size_t>(nloc)));
     comm.reset_stats();
     krylov::matrix_powers(comm, op, krylov::KrylovBasis::monomial(s),
-                          cols.view(), 1, s, nullptr);
+                          cols.view(), 1, s, 1, nullptr);
     EXPECT_EQ(comm.stats().p2p_rounds, static_cast<std::uint64_t>(s));
     EXPECT_GT(comm.stats().overlapped_seconds, 0.0);
   });

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -159,22 +160,36 @@ TEST(SstepGmres, ConfigValidation) {
 }
 
 TEST(SstepGmres, OneHaloExchangePerKrylovColumn) {
-  // Every basis column costs exactly one halo exchange (its MPK SpMV),
-  // plus the initial, per-restart and final residuals — so no scheme
-  // generates a panel only to throw it away.
+  // Every basis block costs exactly one halo exchange (its MPK SpMV,
+  // one for all k columns of a batch), plus the initial, per-restart
+  // and final residuals — so no scheme generates a panel only to throw
+  // it away, and a batch never falls back to per-column products.
   const Problem p = make_problem(sparse::laplace2d_5pt(40, 40));
   for (const std::string& name : api::ortho_registry().names()) {
     if (!api::ortho_registry().at(name).sstep) continue;
     for (const char* shape :
          {"s=5 bs=20", "s=5 bs=60", "s=4 bs=12 m=48 precond=jacobi"}) {
-      for (const int ranks : {2, 7}) {
-        const auto [res, x] =
-            run_sstep(p, ranks, "ortho=" + name + " " + shape);
-        ASSERT_TRUE(res.converged) << name << " " << shape;
-        EXPECT_EQ(res.comm_stats.p2p_rounds,
-                  static_cast<std::uint64_t>(res.iters + res.restarts + 2))
-            << name << " " << shape << " ranks=" << ranks
-            << " iters=" << res.iters << " restarts=" << res.restarts;
+      for (const int k : {1, 2, 3}) {
+        for (const int ranks : {2, 7}) {
+          api::SolverOptions opts = api::SolverOptions::parse(
+              "solver=sstep ortho=" + name + " " + shape);
+          opts.ranks = ranks;
+          opts.rhs = k;
+          api::Solver solver(opts);
+          solver.set_matrix_ref(p.a, "test");
+          solver.set_rhs(api::batch_rhs(p.a, k));
+          const krylov::SolveResult res = solver.solve().result;
+          ASSERT_TRUE(res.converged) << name << " " << shape << " k=" << k;
+          ASSERT_EQ(res.rhs_results.size(), static_cast<std::size_t>(k));
+          long steps = 0;
+          for (const krylov::RhsResult& rr : res.rhs_results) {
+            steps = std::max(steps, rr.iters);
+          }
+          EXPECT_EQ(res.comm_stats.p2p_rounds,
+                    static_cast<std::uint64_t>(steps + res.restarts + 2))
+              << name << " " << shape << " k=" << k << " ranks=" << ranks
+              << " steps=" << steps << " restarts=" << res.restarts;
+        }
       }
     }
   }
