@@ -16,6 +16,15 @@
 //                   produces (bs * k columns, --wide list), where the
 //                   kColBlock small-operand tiling in dense/blas3.cpp
 //                   earns its keep (at s ~ 10 every width fits cache);
+//   * fused_gram  — the two-stage cycle's Grams G = [Q, V]^T V: stage 1
+//                   at (q0 + 5) x 5 for q0 = 1, 6, ..., 56 (s = 5) and
+//                   stage 2 at 61 x 60 (bs = 60), the V^T V block
+//                   computed as its upper triangle and mirrored;
+//   * syrk_tn     — the 60 x 60 stage-2 self-Gram (CholQR's Gram);
+//   * trsm        — B := B U^{-1} with a dense upper U at widths 5 and
+//                   60 (the stage-1 and stage-2 normalizations).
+//                   GFLOP/s of these three count the flops actually
+//                   needed: half the square for a self-Gram block;
 //   * spmv        — 9-point 2-D Laplace stencil;
 //   * dot, axpy   — BLAS-1 baselines for context.
 // Every record carries a "simd" field naming the ISA the build's
@@ -47,10 +56,12 @@
 #include "util/timer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -210,6 +221,54 @@ int main(int argc, char** argv) {
           dense::MatrixView v{out.data(), wide_m, sc, wide_m};
           dense::gemm_nn(-1.0, q.view(), r.view(), 1.0, v);
         }});
+  }
+  // Restart-cycle shapes of the default two-stage solve (s = 5,
+  // bs = m = 60) at the long m: the stage-1 fused Grams, the stage-2
+  // fused Gram and self-Gram, and the two TRSM widths.
+  {
+    // One shared basis: every row reads its columns, none writes them.
+    const auto basis =
+        std::make_shared<const Matrix>(random_matrix(m, 61, 16));
+    const auto gram_case = [&](index_t q0, index_t sc) {
+      const double mm = static_cast<double>(m);
+      cases.push_back(Case{
+          "fused_gram",
+          std::to_string(m) + "x" + std::to_string(q0 + sc) + "x" +
+              std::to_string(sc),
+          2.0 * mm * q0 * sc + mm * sc * (sc + 1),
+          [basis, q0, sc](std::vector<double>& out) {
+            out.assign(static_cast<std::size_t>(q0 + sc) * sc, 0.0);
+            dense::MatrixView g{out.data(), q0 + sc, sc, q0 + sc};
+            dense::fused_gram_tn(basis->view().columns(0, q0),
+                                 basis->view().columns(q0, sc), g);
+          }});
+    };
+    for (index_t q0 = 1; q0 <= 56; q0 += 5) gram_case(q0, 5);
+    gram_case(1, 60);
+    cases.push_back(Case{
+        "syrk_tn", std::to_string(m) + "x60", static_cast<double>(m) * 60 * 61,
+        [basis](std::vector<double>& out) {
+          out.assign(60 * 60, 0.0);
+          dense::MatrixView g{out.data(), 60, 60, 60};
+          dense::syrk_tn(basis->view().columns(1, 60), g);
+        }});
+    for (const index_t sc : {5, 60}) {
+      Matrix u = random_matrix(sc, sc, 17);
+      for (index_t j = 0; j < sc; ++j) {
+        for (index_t i = j + 1; i < sc; ++i) u(i, j) = 0.0;
+        u(j, j) = 4.0 + std::abs(u(j, j));
+      }
+      Matrix b0 = random_matrix(m, sc, 18);
+      cases.push_back(Case{
+          "trsm", std::to_string(m) + "x" + std::to_string(sc),
+          static_cast<double>(m) * sc * sc,
+          [u = std::move(u), b0 = std::move(b0), m,
+           sc](std::vector<double>& out) {
+            out.assign(b0.data().begin(), b0.data().end());
+            dense::trsm_right_upper(u.view(),
+                                    dense::MatrixView{out.data(), m, sc, m});
+          }});
+    }
   }
   {
     sparse::CsrMatrix a = sparse::laplace2d_9pt(nx, nx);

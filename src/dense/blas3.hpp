@@ -10,6 +10,14 @@
 // row tiles via par::ThreadPool.  Reductions (gemm_tn, frobenius_norm)
 // follow the fixed-chunk deterministic scheme of par/config.hpp, so
 // results are bit-identical at any thread count.
+//
+// gemm_tn, gemm_nn and trsm_right_upper run register-tiled inner
+// loops (tile shapes fixed per SIMD ISA at compile time, see blas3.cpp)
+// that keep every output entry's FMA chain exactly that of the
+// one-entry-at-a-time loop: the tile shape never changes a bit.  In
+// particular entry (i, j) of A^T A is bitwise entry (j, i), which is
+// what lets syrk_tn and fused_gram_tn compute only the upper triangle
+// of a self-Gram and mirror it exactly.
 
 #include "dense/matrix.hpp"
 
@@ -38,9 +46,17 @@ void trsm_right_upper(ConstMatrixView u, MatrixView b);
 /// B := B * U  (multiply on the right by upper triangular U).
 void trmm_right_upper(ConstMatrixView u, MatrixView b);
 
-/// C = A^T A (upper triangle filled, mirrored to lower) — the Gram
-/// matrix kernel of CholQR.
+/// C = A^T A — the Gram matrix kernel of CholQR.  Computes the upper
+/// triangle only and mirrors it, half the work of gemm_tn(a, a) with
+/// bitwise the same (exactly symmetric) result.
 void syrk_tn(ConstMatrixView a, MatrixView c);
+
+/// G = [Q, V]^T V in one pass over V (the fused Gram of BCGS-PIP):
+/// rows [0, q) hold Q^T V, rows [q, q + s) the V^T V block, computed
+/// as its upper triangle and mirrored like syrk_tn.  G is (q + s) x s
+/// for q = Q.cols, s = V.cols; bitwise equal to gemm_tn(Q, V) stacked
+/// on gemm_tn(V, V).
+void fused_gram_tn(ConstMatrixView q, ConstMatrixView v, MatrixView g);
 
 /// Frobenius norm of a view.
 double frobenius_norm(ConstMatrixView a);

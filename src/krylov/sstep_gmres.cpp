@@ -169,7 +169,7 @@ std::vector<double> residual_norms(par::Communicator& comm,
   if (w == 1) return {ortho::global_norm(octx, {r.col(0), nloc})};
   const dense::MatrixView gv = g.block(0, 0, w, w);
   const dense::ConstMatrixView rv = r.block(0, 0, r.rows(), w);
-  ortho::block_dot(octx, rv, rv, gv);
+  ortho::block_gram(octx, rv, gv);
   std::vector<double> norms(static_cast<std::size_t>(w));
   for (index_t t = 0; t < w; ++t) {
     norms[static_cast<std::size_t>(t)] = std::sqrt(std::max(0.0, gv(t, t)));
@@ -431,7 +431,7 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     rmat.set_zero();
     lmat.set_zero();
     for (index_t t = 0; t < bw; ++t) rmat(t, t) = 1.0;
-    manager->reset_cycle(bw);
+    manager->reset(bw);
     CycleLeastSquares ls(m, bw, gamma[0], s0v);
 
     index_t assembled = 0;  // Hessenberg columns appended so far

@@ -45,7 +45,7 @@ void cholqr(OrthoContext& ctx, MatrixView v, MatrixView r) {
   }
   // Gram matrix with one reduce, redundant Cholesky on every rank
   // (deterministic reduction => identical factors), local TRSM.
-  block_dot(ctx, v, v, r);
+  block_gram(ctx, v, r);
   chol_factor(ctx, r, "CholQR");
   block_scale(ctx, r, v);
 }
@@ -82,7 +82,7 @@ void shifted_cholqr3(OrthoContext& ctx, MatrixView v, MatrixView r) {
   if (dd) {
     block_dot_dd(ctx, v, v, g_hi.view(), g_lo.view());
   } else {
-    block_dot(ctx, v, v, r);
+    block_gram(ctx, v, r);
   }
   if (ctx.timers) ctx.timers->start("ortho/chol");
   const double shift =

@@ -77,16 +77,10 @@ class BlockOrthoManager {
     return q_generated;
   }
 
-  /// Starts a new restart cycle.
-  virtual void reset() = 0;
-
   /// Starts a new restart cycle whose basis is seeded with `n_seed`
-  /// already-final columns (block GMRES seeds a b-wide CholQR'd
-  /// residual block instead of the single normalized residual).
-  /// Managers with internal final-column watermarks override this;
-  /// the default — and the single-RHS n_seed == 1 case for every
-  /// manager — is plain reset().
-  virtual void reset_cycle(index_t /*n_seed*/) { reset(); }
+  /// already-final columns: the normalized residual (n_seed = 1), or
+  /// the b-wide CholQR'd residual block of a block solve.
+  virtual void reset(index_t n_seed = 1) = 0;
 
   /// Global synchronizations per s steps (the paper's accounting:
   /// BCGS2+CholQR2 = 5, BCGS-PIP2 = 2, two-stage = 1 + s/bs).

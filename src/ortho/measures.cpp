@@ -47,7 +47,7 @@ dense::Matrix gather_multivector(par::Communicator* comm,
 
 double orthogonality_error(OrthoContext& ctx, dense::ConstMatrixView q_local) {
   dense::Matrix g(q_local.cols, q_local.cols);
-  block_dot(ctx, q_local, q_local, g.view());
+  block_gram(ctx, q_local, g.view());
   for (dense::index_t j = 0; j < g.cols(); ++j) g(j, j) -= 1.0;
   return dense::norm_2(g.view());
 }

@@ -146,6 +146,19 @@ void block_dot(OrthoContext& ctx, ConstMatrixView a, ConstMatrixView b,
   pending.wait();
 }
 
+void block_gram(OrthoContext& ctx, ConstMatrixView v, MatrixView g) {
+  time_start(ctx, "ortho/dot");
+  if (ctx.mixed_precision_gram) {
+    dense::gemm_tn_dd(v, v, g);
+  } else {
+    dense::syrk_tn(v, g);
+  }
+  time_stop(ctx, "ortho/dot");
+  PendingReduce pending = ireduce_sum(ctx, g);
+  pending.no_overlap_credit();
+  pending.wait();
+}
+
 void block_dot_dd(OrthoContext& ctx, ConstMatrixView a, ConstMatrixView b,
                   MatrixView c_hi, MatrixView c_lo) {
   time_start(ctx, "ortho/dot");
@@ -160,14 +173,11 @@ PendingReduce fused_gram_ireduce(OrthoContext& ctx, ConstMatrixView q,
                                  ConstMatrixView v, MatrixView g) {
   assert(g.rows == q.cols + v.cols && g.cols == v.cols);
   time_start(ctx, "ortho/dot");
-  MatrixView top = g.block(0, 0, q.cols, v.cols);
-  MatrixView bottom = g.block(q.cols, 0, v.cols, v.cols);
   // Always working precision: the mixed-precision BCGS-PIP path goes
   // through fused_gram_dd, which keeps the pair form alive for the
   // Pythagorean update and Cholesky (rounding here would reintroduce
   // the eps^{-1/2} cliff this layer exists to remove).
-  if (q.cols > 0) dense::gemm_tn(1.0, q, v, 0.0, top);
-  dense::gemm_tn(1.0, v, v, 0.0, bottom);
+  dense::fused_gram_tn(q, v, g);
   time_stop(ctx, "ortho/dot");
   consult_gram_fault(ctx, g);
   return ireduce_sum(ctx, g);

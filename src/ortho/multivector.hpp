@@ -191,6 +191,11 @@ class PendingReduce {
 void block_dot(OrthoContext& ctx, ConstMatrixView a, ConstMatrixView b,
                MatrixView c, const OverlapHook& overlap = nullptr);
 
+/// Self-Gram G = V^T V with one reduce (CholQR, the block restart
+/// seed): block_dot(v, v) computing only the upper triangle and
+/// mirroring it, bitwise the same result for half the local flops.
+void block_gram(OrthoContext& ctx, ConstMatrixView v, MatrixView g);
+
 /// Pair-form block dot: C = A^T B accumulated in double-double and
 /// returned unrounded as c_hi + c_lo, including across ranks (one
 /// fused dd all-reduce == one synchronization).  Feed the pair into
