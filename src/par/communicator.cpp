@@ -5,7 +5,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 namespace tsbo::par {
@@ -23,34 +22,11 @@ CommStats subtract(const CommStats& after, const CommStats& before) {
   return d;
 }
 
-CommRequest& CommRequest::operator=(CommRequest&& o) noexcept {
-  if (this != &o) {
-    wait();  // complete anything this handle still owns
-    comm_ = std::exchange(o.comm_, nullptr);
-    kind_ = o.kind_;
-    a_ = o.a_;
-    b_ = o.b_;
-    root_ = o.root_;
-    modeled_seconds_ = o.modeled_seconds_;
-    overlap_credit_ = o.overlap_credit_;
-    begin_ = o.begin_;
-  }
-  return *this;
-}
-
-void CommRequest::wait() {
-  if (comm_ == nullptr) return;
-  Communicator* c = std::exchange(comm_, nullptr);
-  c->complete(*this);
-}
-
 SpmdContext::SpmdContext(int nranks, NetworkModel model)
     : nranks_(nranks),
       model_(model),
       slots_(static_cast<std::size_t>(nranks), nullptr),
-      sizes_(static_cast<std::size_t>(nranks), 0),
-      xslots_(static_cast<std::size_t>(nranks), nullptr),
-      xsizes_(static_cast<std::size_t>(nranks), 0) {
+      sizes_(static_cast<std::size_t>(nranks), 0) {
   assert(nranks >= 1);
 }
 
@@ -89,24 +65,9 @@ void Communicator::inject_with_overlap(double modeled,
   inject(split.exposed);
 }
 
-CommRequest Communicator::make_request(CommRequest::Kind kind,
-                                       std::span<double> a,
-                                       std::span<double> b, int root,
-                                       double modeled) {
-  assert(!slot_busy_ && "a split-phase collective is already in flight");
-  slot_busy_ = true;
-  CommRequest req;
-  req.comm_ = this;
-  req.kind_ = kind;
-  req.a_ = a;
-  req.b_ = b;
-  req.root_ = root;
-  req.modeled_seconds_ = modeled;
-  req.begin_ = std::chrono::steady_clock::now();
-  return req;
-}
-
 void Communicator::publish(std::span<const double> data) {
+  // The slot is shared: peers may still read an open exchange's buffer.
+  assert(!exchange_open_ && "no collective inside an exchange window");
   ctx_.slots_[static_cast<std::size_t>(rank_)] = data.data();
   ctx_.sizes_[static_cast<std::size_t>(rank_)] = data.size();
 }
@@ -120,153 +81,76 @@ std::size_t Communicator::peer_size(int peer) const {
   return ctx_.sizes_[static_cast<std::size_t>(peer)];
 }
 
-CommRequest Communicator::iallreduce_sum(std::span<double> inout) {
-  // Fault seam, before any publication/accounting: a throw here leaves
-  // no half-open collective on any rank.  A corrupt flips the same bit
-  // of every rank's local contribution at the same index.
-  consult_fault(FaultSite::kCommAllreduce, [inout](long ordinal) {
-    if (!inout.empty()) {
+void Communicator::consult_allreduce_fault(std::span<double> contribution) {
+  consult_fault(FaultSite::kCommAllreduce, [contribution](long ordinal) {
+    if (!contribution.empty()) {
       FaultInjector::flip_bit(
-          inout[static_cast<std::size_t>(ordinal) % inout.size()]);
+          contribution[static_cast<std::size_t>(ordinal) %
+                       contribution.size()]);
     }
   });
-  stats_.allreduces += 1;
-  stats_.bytes_allreduced += inout.size_bytes();
-  CommRequest req = make_request(
-      CommRequest::Kind::kSum, inout, {}, 0,
-      ctx_.model_.allreduce_seconds(ctx_.nranks_, inout.size_bytes()));
-  if (ctx_.nranks_ > 1) publish(inout);
-  return req;
-}
-
-CommRequest Communicator::iallreduce_sum_dd(std::span<double> hi,
-                                            std::span<double> lo) {
-  assert(hi.size() == lo.size());
-  const std::size_t n = hi.size();
-  consult_fault(FaultSite::kCommAllreduce, [hi](long ordinal) {
-    if (!hi.empty()) {
-      FaultInjector::flip_bit(
-          hi[static_cast<std::size_t>(ordinal) % hi.size()]);
-    }
-  });
-  stats_.allreduces += 1;
-  stats_.bytes_allreduced += hi.size_bytes() + lo.size_bytes();
-  CommRequest req =
-      make_request(CommRequest::Kind::kSumDd, hi, lo, 0,
-                   ctx_.model_.allreduce_seconds(
-                       ctx_.nranks_, hi.size_bytes() + lo.size_bytes()));
-  if (ctx_.nranks_ > 1) {
-    // Publish one packed [hi..., lo...] buffer per rank; every rank
-    // then folds the pairs in rank order with normalized dd adds at
-    // wait(), so all ranks hold the identical extended-precision sum.
-    staging_.resize(2 * n);
-    std::memcpy(staging_.data(), hi.data(), hi.size_bytes());
-    std::memcpy(staging_.data() + n, lo.data(), lo.size_bytes());
-    publish(staging_);
-  }
-  return req;
-}
-
-CommRequest Communicator::ibroadcast(std::span<double> data, int root) {
-  stats_.broadcasts += 1;
-  CommRequest req = make_request(
-      CommRequest::Kind::kBcast, data, {}, root,
-      ctx_.model_.allreduce_seconds(ctx_.nranks_, data.size_bytes()));
-  if (ctx_.nranks_ > 1 && rank_ == root) publish(data);
-  return req;
-}
-
-void Communicator::complete(CommRequest& req) {
-  assert(slot_busy_);
-  // Compute performed since begin is what the fabric latency hides.
-  const double elapsed =
-      req.overlap_credit_
-          ? std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          req.begin_)
-                .count()
-          : 0.0;
-  switch (req.kind_) {
-    case CommRequest::Kind::kSum: {
-      std::span<double> inout = req.a_;
-      if (ctx_.nranks_ > 1) {
-        barrier();  // all ranks published
-        // Deterministic order: sum rank 0..p-1 contributions.
-        scratch_.assign(inout.size(), 0.0);
-        for (int r = 0; r < ctx_.nranks_; ++r) {
-          assert(peer_size(r) == inout.size());
-          const double* src = peer_slot(r);
-          for (std::size_t i = 0; i < inout.size(); ++i) scratch_[i] += src[i];
-        }
-        barrier();  // all ranks finished reading before buffers are reused
-        std::memcpy(inout.data(), scratch_.data(), inout.size_bytes());
-      }
-      break;
-    }
-    case CommRequest::Kind::kSumDd: {
-      std::span<double> hi = req.a_;
-      std::span<double> lo = req.b_;
-      const std::size_t n = hi.size();
-      if (ctx_.nranks_ > 1) {
-        barrier();
-        scratch2_.resize(2 * n);
-        for (std::size_t i = 0; i < n; ++i) {
-          eft::dd acc;
-          for (int r = 0; r < ctx_.nranks_; ++r) {
-            assert(peer_size(r) == 2 * n);
-            const double* src = peer_slot(r);
-            eft::dd_add(acc, eft::dd{src[i], src[n + i]});
-          }
-          scratch2_[i] = acc.hi;
-          scratch2_[n + i] = acc.lo;
-        }
-        barrier();  // all ranks finished reading before buffers are reused
-        std::memcpy(hi.data(), scratch2_.data(), hi.size_bytes());
-        std::memcpy(lo.data(), scratch2_.data() + n, lo.size_bytes());
-      }
-      break;
-    }
-    case CommRequest::Kind::kBcast: {
-      std::span<double> data = req.a_;
-      if (ctx_.nranks_ > 1) {
-        barrier();  // root published
-        if (rank_ != req.root_) {
-          assert(peer_size(req.root_) == data.size());
-          std::memcpy(data.data(), peer_slot(req.root_),
-                      data.size_bytes());
-        }
-        barrier();
-      }
-      break;
-    }
-  }
-  slot_busy_ = false;
-  inject_with_overlap(req.modeled_seconds_, elapsed);
 }
 
 void Communicator::allreduce_sum(std::span<double> inout) {
-  CommRequest req = iallreduce_sum(inout);
-  req.no_overlap_credit();  // no compute inside a blocking call
-  req.wait();
+  // Fault seam before any publication/accounting: a throw here leaves
+  // no half-open collective on any rank.
+  consult_allreduce_fault(inout);
+  stats_.allreduces += 1;
+  stats_.bytes_allreduced += inout.size_bytes();
+  if (ctx_.nranks_ > 1) {
+    publish(inout);
+    barrier();  // all ranks published
+    // Deterministic order: sum rank 0..p-1 contributions.
+    scratch_.assign(inout.size(), 0.0);
+    for (int r = 0; r < ctx_.nranks_; ++r) {
+      assert(peer_size(r) == inout.size());
+      const double* src = peer_slot(r);
+      for (std::size_t i = 0; i < inout.size(); ++i) scratch_[i] += src[i];
+    }
+    barrier();  // all ranks finished reading before buffers are reused
+    std::memcpy(inout.data(), scratch_.data(), inout.size_bytes());
+  }
+  inject(ctx_.model_.allreduce_seconds(ctx_.nranks_, inout.size_bytes()));
 }
 
 void Communicator::allreduce_sum_dd(std::span<double> hi,
                                     std::span<double> lo) {
-  CommRequest req = iallreduce_sum_dd(hi, lo);
-  req.no_overlap_credit();
-  req.wait();
+  assert(hi.size() == lo.size());
+  const std::size_t n = hi.size();
+  consult_allreduce_fault(hi);
+  stats_.allreduces += 1;
+  stats_.bytes_allreduced += hi.size_bytes() + lo.size_bytes();
+  if (ctx_.nranks_ > 1) {
+    // Publish one packed [hi..., lo...] buffer per rank; every rank
+    // folds the pairs in rank order with normalized dd adds, so all
+    // ranks hold the identical extended-precision sum.  The fold reads
+    // only the published copies, so it may write hi/lo directly.
+    staging_.resize(2 * n);
+    std::memcpy(staging_.data(), hi.data(), hi.size_bytes());
+    std::memcpy(staging_.data() + n, lo.data(), lo.size_bytes());
+    publish(staging_);
+    barrier();
+    for (std::size_t i = 0; i < n; ++i) {
+      eft::dd acc;
+      for (int r = 0; r < ctx_.nranks_; ++r) {
+        assert(peer_size(r) == 2 * n);
+        const double* src = peer_slot(r);
+        eft::dd_add(acc, eft::dd{src[i], src[n + i]});
+      }
+      hi[i] = acc.hi;
+      lo[i] = acc.lo;
+    }
+    barrier();  // all ranks finished reading before staging is reused
+  }
+  inject(ctx_.model_.allreduce_seconds(ctx_.nranks_,
+                                       hi.size_bytes() + lo.size_bytes()));
 }
 
 void Communicator::allreduce_max(std::span<double> inout) {
-  consult_fault(FaultSite::kCommAllreduce, [inout](long ordinal) {
-    if (!inout.empty()) {
-      FaultInjector::flip_bit(
-          inout[static_cast<std::size_t>(ordinal) % inout.size()]);
-    }
-  });
+  consult_allreduce_fault(inout);
   stats_.allreduces += 1;
   stats_.bytes_allreduced += inout.size_bytes();
   if (ctx_.nranks_ > 1) {
-    assert(!slot_busy_ && "a split-phase collective is already in flight");
     publish(inout);
     barrier();
     scratch_.assign(inout.size(), 0.0);
@@ -295,14 +179,21 @@ double Communicator::allreduce_max_scalar(double x) {
 }
 
 void Communicator::broadcast(std::span<double> data, int root) {
-  CommRequest req = ibroadcast(data, root);
-  req.no_overlap_credit();
-  req.wait();
+  stats_.broadcasts += 1;
+  if (ctx_.nranks_ > 1) {
+    if (rank_ == root) publish(data);
+    barrier();  // root published
+    if (rank_ != root) {
+      assert(peer_size(root) == data.size());
+      std::memcpy(data.data(), peer_slot(root), data.size_bytes());
+    }
+    barrier();
+  }
+  inject(ctx_.model_.allreduce_seconds(ctx_.nranks_, data.size_bytes()));
 }
 
 std::vector<double> Communicator::gather(std::span<const double> local,
                                          int root) {
-  assert(!slot_busy_ && "a split-phase collective is already in flight");
   publish(local);
   barrier();
   std::vector<double> out;
@@ -320,10 +211,8 @@ std::vector<double> Communicator::gather(std::span<const double> local,
 }
 
 void Communicator::exchange_begin(std::span<const double> send) {
-  assert(!exchange_open_ && "one neighbor exchange at a time");
+  publish(send);  // asserts one neighbor exchange at a time
   exchange_open_ = true;
-  ctx_.xslots_[rank_] = send.data();
-  ctx_.xsizes_[rank_] = send.size();
   barrier();
   // The overlap window opens once every peer has published: compute
   // from here to exchange_end stands in for interior work behind
@@ -333,8 +222,7 @@ void Communicator::exchange_begin(std::span<const double> send) {
 
 std::span<const double> Communicator::peer_buffer(int peer) const {
   assert(peer >= 0 && peer < ctx_.nranks_);
-  return {static_cast<const double*>(ctx_.xslots_[peer]),
-          ctx_.xsizes_[peer]};
+  return {peer_slot(peer), peer_size(peer)};
 }
 
 void Communicator::exchange_end(std::span<const std::size_t> peer_recv_bytes,
@@ -349,14 +237,6 @@ void Communicator::exchange_end(std::span<const std::size_t> peer_recv_bytes,
   stats_.p2p_rounds += 1;
   stats_.bytes_exchanged += total_recv_bytes;
   inject_with_overlap(ctx_.model_.p2p_round_seconds(peer_recv_bytes), elapsed);
-}
-
-void Communicator::exchange_end(std::size_t max_recv_bytes,
-                                std::size_t total_recv_bytes) {
-  // Legacy single-size form: one message per round.  Identical cost to
-  // a one-element per-peer round, so delegate.
-  const std::size_t one[] = {max_recv_bytes};
-  exchange_end(std::span<const std::size_t>(one, 1), total_recv_bytes);
 }
 
 }  // namespace tsbo::par

@@ -10,23 +10,17 @@
 // latency per operation; CommStats counts synchronizations so tests can
 // assert the paper's per-algorithm sync counts (5 / 2 / 1 + s/bs).
 //
-// Split-phase runtime: every collective exists in a nonblocking
-// begin+wait form (iallreduce_sum / iallreduce_sum_dd / ibroadcast
-// returning a CommRequest, and the exchange_begin/exchange_end pair for
-// neighbor rounds).  The modeled fabric latency of a split-phase
-// operation is *discounted* by the wall-clock compute performed between
-// begin and wait — CommStats::overlapped_seconds accounts the hidden
-// share, injected_seconds the exposed share actually spun — so
-// compute–communication overlap changes the measured time exactly as
-// MPI_Iallreduce + MPI_Wait would on a real fabric, while the reduced
-// values themselves stay bitwise independent of the overlap window.
-// The blocking collectives are thin begin+wait pairs over the same
-// machinery (with no overlap credit: their window contains no compute).
-//
-// One split-phase collective may be in flight per rank at a time;
-// beginning a second before the first is waited is a programming error
-// (asserted).  A neighbor exchange may open inside a pending collective
-// window — it has its own publication slot.
+// Collectives are blocking: each call publishes the rank's payload,
+// synchronizes, folds the peers' contributions in rank order and
+// synchronizes again before returning.  The one overlap window is the
+// neighbor exchange (exchange_begin/exchange_end): compute performed
+// between the two — the interior SpMV rows in DistCsr::spmv — is
+// credited against the modeled p2p latency (CommStats::
+// overlapped_seconds accounts the hidden share, injected_seconds the
+// exposed share actually spun), exactly as MPI_Irecv/Isend + interior
+// work + MPI_Waitall would on a real fabric.  Every operation reads
+// peers' buffers only between two barriers, so one publication slot
+// per rank serves collectives and exchanges alike.
 
 #include "par/network_model.hpp"
 #include "util/fault.hpp"
@@ -40,8 +34,6 @@
 
 namespace tsbo::par {
 
-class Communicator;
-
 /// Per-rank communication counters.
 struct CommStats {
   std::uint64_t allreduces = 0;
@@ -52,55 +44,13 @@ struct CommStats {
   std::uint64_t bytes_exchanged = 0;  // p2p payload pulled by this rank
   /// Modeled fabric time actually spun (exposed to the critical path).
   double injected_seconds = 0.0;
-  /// Modeled fabric time hidden behind compute between a split-phase
-  /// begin and its wait.  injected + overlapped == total modeled cost.
+  /// Modeled p2p time hidden behind compute between exchange_begin and
+  /// exchange_end.  injected + overlapped == total modeled cost.
   double overlapped_seconds = 0.0;
 };
 
 /// after - before, for windowed accounting around a solver call.
 CommStats subtract(const CommStats& after, const CommStats& before);
-
-/// Handle for one in-flight split-phase collective.  Move-only; at most
-/// one request is outstanding per rank.  wait() completes the
-/// operation — called implicitly by the destructor so an exception
-/// unwinding through an overlap window keeps all ranks in lockstep.
-/// Between begin and wait the caller must not touch the published
-/// buffers.
-class CommRequest {
- public:
-  CommRequest() = default;
-  CommRequest(CommRequest&& o) noexcept { *this = std::move(o); }
-  CommRequest& operator=(CommRequest&& o) noexcept;
-  CommRequest(const CommRequest&) = delete;
-  CommRequest& operator=(const CommRequest&) = delete;
-  ~CommRequest() { wait(); }
-
-  /// Completes the collective: synchronizes with peers, materializes
-  /// the result in the begin-call's buffers, and injects the exposed
-  /// share of the modeled latency.  No-op on an empty/completed handle.
-  void wait();
-
-  /// Opts this request out of overlap accounting: the full modeled
-  /// latency is charged as exposed at wait().  The blocking wrappers
-  /// (Communicator's and the ortho layer's) use it so only engineered
-  /// begin/wait windows earn overlapped_seconds.
-  void no_overlap_credit() { overlap_credit_ = false; }
-
-  [[nodiscard]] bool active() const { return comm_ != nullptr; }
-
- private:
-  friend class Communicator;
-  enum class Kind { kSum, kSumDd, kBcast };
-
-  Communicator* comm_ = nullptr;
-  Kind kind_ = Kind::kSum;
-  std::span<double> a_{};  // inout payload (hi plane for kSumDd)
-  std::span<double> b_{};  // lo plane (kSumDd only)
-  int root_ = 0;           // kBcast only
-  double modeled_seconds_ = 0.0;
-  bool overlap_credit_ = true;  // blocking wrappers opt out
-  std::chrono::steady_clock::time_point begin_{};
-};
 
 /// Shared state of one SPMD execution; owned by spmd_run().
 class SpmdContext {
@@ -120,15 +70,10 @@ class SpmdContext {
   std::atomic<int> arrived_{0};
   std::atomic<int> sense_{0};
 
-  // Per-rank publication slot for zero-copy collectives.
+  // Per-rank publication slot shared by collectives and neighbor
+  // exchanges (zero copy; peers read it only between two barriers).
   std::vector<const void*> slots_;
   std::vector<std::size_t> sizes_;
-
-  // Dedicated per-rank slot for neighbor exchanges, separate from the
-  // collective slot so a halo exchange can open inside a pending
-  // collective window without clobbering its publication.
-  std::vector<const void*> xslots_;
-  std::vector<std::size_t> xsizes_;
 };
 
 /// Rank-local handle used inside spmd_run() bodies.  Not thread-safe
@@ -161,26 +106,12 @@ class Communicator {
   /// payload, exactly like MPI's MPI_SUM on a paired custom datatype).
   void allreduce_sum_dd(std::span<double> hi, std::span<double> lo);
 
-  /// Split-phase counterparts: publish the payload and return
-  /// immediately; the reduction completes (and the result lands in the
-  /// caller's buffers) at CommRequest::wait().  Compute performed
-  /// between begin and wait is credited against the modeled fabric
-  /// latency (CommStats::overlapped_seconds).  The sum is bitwise
-  /// identical to the blocking form regardless of the overlap window.
-  [[nodiscard]] CommRequest iallreduce_sum(std::span<double> inout);
-  [[nodiscard]] CommRequest iallreduce_sum_dd(std::span<double> hi,
-                                              std::span<double> lo);
-
   /// Convenience scalar all-reduce.
   double allreduce_sum_scalar(double x);
   double allreduce_max_scalar(double x);
 
   /// Copies root's buffer into every rank's `data`.
   void broadcast(std::span<double> data, int root);
-
-  /// Split-phase broadcast: root publishes at begin; every rank's
-  /// `data` holds root's payload after wait().
-  [[nodiscard]] CommRequest ibroadcast(std::span<double> data, int root);
 
   /// Gathers variable-length rank-local blocks to `root`; returns the
   /// concatenation (rank order) on root and an empty vector elsewhere.
@@ -189,14 +120,12 @@ class Communicator {
   /// One neighbor-exchange round: the caller publishes its own send
   /// buffer and reads peers' buffers; the communicator handles the
   /// two-phase synchronization and charges one p2p round to the cost
-  /// model — the per-peer overload sums each peer message's cost
-  /// (NetworkModel::p2p_round_seconds, single-port injection), the
-  /// legacy single-size overloads charge one message.  Compute
+  /// model, the sum of each peer message's cost
+  /// (NetworkModel::p2p_round_seconds, single-port injection).  Compute
   /// performed between exchange_begin and exchange_end (interior SpMV
   /// rows in the overlapped DistCsr::spmv) is credited against the
   /// modeled p2p latency, mirroring MPI_Irecv/Isend + interior work +
-  /// Waitall.  An exchange may nest inside a pending split-phase
-  /// collective window (it has its own publication slot).
+  /// Waitall.  No collective may run inside the window.
   ///
   /// Usage:
   ///   comm.exchange_begin(my_send_buffer);
@@ -206,10 +135,6 @@ class Communicator {
   [[nodiscard]] std::span<const double> peer_buffer(int peer) const;
   void exchange_end(std::span<const std::size_t> peer_recv_bytes,
                     std::size_t total_recv_bytes);
-  void exchange_end(std::size_t max_recv_bytes, std::size_t total_recv_bytes);
-  void exchange_end(std::size_t max_recv_bytes) {
-    exchange_end(max_recv_bytes, max_recv_bytes);
-  }
 
   [[nodiscard]] const CommStats& stats() const { return stats_; }
   void reset_stats() { stats_ = CommStats{}; }
@@ -218,7 +143,7 @@ class Communicator {
   /// nullptr (the default) disables it with zero overhead on the hot
   /// paths.  Borrowed, job-scoped; the api facade installs it at the
   /// top of each spmd body.  The comm layer consults the
-  /// `comm.allreduce` site at the entry of every (i)allreduce; kernel
+  /// `comm.allreduce` site at the entry of every allreduce; kernel
   /// layers (DistCsr::spmv, the ortho Gram) consult their own sites
   /// through consult_fault() on the communicator they already hold.
   void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
@@ -232,16 +157,14 @@ class Communicator {
   }
 
  private:
-  friend class CommRequest;
-
   void inject(double seconds);
   /// Charges `modeled` fabric seconds, crediting `compute_seconds` of
   /// it as overlapped and spinning only the exposed remainder.
   void inject_with_overlap(double modeled, double compute_seconds);
-  CommRequest make_request(CommRequest::Kind kind, std::span<double> a,
-                           std::span<double> b, int root, double modeled);
-  void complete(CommRequest& req);
-  /// Publishes `data` in the rank's collective slot.
+  /// Consults the `comm.allreduce` fault seam; a corrupt flips the same
+  /// bit of every rank's local contribution at the same index.
+  void consult_allreduce_fault(std::span<double> contribution);
+  /// Publishes `data` in the rank's slot.
   void publish(std::span<const double> data);
   [[nodiscard]] const double* peer_slot(int peer) const;
   [[nodiscard]] std::size_t peer_size(int peer) const;
@@ -249,15 +172,12 @@ class Communicator {
   SpmdContext& ctx_;
   int rank_;
   int local_sense_ = 0;
-  bool slot_busy_ = false;  // a collective holds the publication slot
   std::chrono::steady_clock::time_point exchange_begin_{};
   bool exchange_open_ = false;
-  // Staging for dd publications: the packed [hi..., lo...] payload must
-  // stay stable for the life of its request.  Non-dd sums publish the
-  // caller's buffer directly (zero copy).
+  // Packed [hi..., lo...] publication of a dd sum; plain sums publish
+  // the caller's buffer directly (zero copy).
   std::vector<double> staging_;
-  std::vector<double> scratch_;   // fold workspace
-  std::vector<double> scratch2_;  // dd fold result (staging stays published)
+  std::vector<double> scratch_;  // fold workspace
   CommStats stats_;
   FaultInjector* fault_ = nullptr;  // borrowed, job-scoped (may be null)
 };

@@ -3,7 +3,7 @@
 // firing, site behavior (throw / delay / corrupt) through the real
 // solver stack, pinned trail + solution determinism at ranks x threads
 // {1,2,7}^2, cooperative cancellation (pre-cancelled tokens, deadlines
-// expiring mid-solve, unwinding through the split-phase reduce window),
+// expiring mid-solve, a throw unwinding the solver mid-panel),
 // the soft-error residual guard, and the vacuous-guard option check.
 
 #include "util/fault.hpp"
@@ -240,9 +240,9 @@ TEST(CancelTest, DeadlineExpiresMidSolveAndGuardSkips) {
 
 TEST(CancelTest, ThrowDuringSplitPhaseReduceWindowUnwindsCleanly) {
   // A throw at the spmv site unwinds through the solver mid-panel on
-  // every rank; the PendingReduce / CommRequest destructors complete
-  // any open collective on the way out.  No deadlock, and the runtime
-  // stays usable.
+  // every rank at the same point, after the exchange window closed and
+  // outside any collective (every collective is blocking).  No
+  // deadlock, and the runtime stays usable.
   for (const int ranks : {2, 7}) {
     api::SolverOptions opts = bounded_opts(28, ranks);
     opts.faults = "spmv.interior@7:throw";

@@ -2,6 +2,7 @@
 
 #include "par/spmd.hpp"
 #include "par/thread_pool.hpp"
+#include "util/eft.hpp"
 #include "util/timer.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -138,7 +140,8 @@ TEST_P(SpmdRanks, ExchangePublishesPeerBuffers) {
       const auto buf = comm.peer_buffer(peer);
       good = good && buf.size() == 1 && buf[0] == 100.0 + peer;
     }
-    comm.exchange_end(sizeof(double));
+    const std::size_t bytes[] = {sizeof(double)};
+    comm.exchange_end(bytes, sizeof(double));
     ok[static_cast<std::size_t>(comm.rank())] = good ? 1.0 : 0.0;
   });
   for (const double v : ok) EXPECT_DOUBLE_EQ(v, 1.0);
@@ -189,128 +192,72 @@ TEST(Spmd, StatsSubtractGivesWindow) {
   EXPECT_DOUBLE_EQ(d.overlapped_seconds, 0.5);
 }
 
-// ---- split-phase collectives ----------------------------------------
+// ---- blocking collectives and the exchange window --------------------
 
-TEST_P(SpmdRanks, IallreduceSumMatchesBlockingBitwise) {
+TEST_P(SpmdRanks, AllreduceSumDdMatchesSerialRankOrderFold) {
+  // Every rank must hold exactly the dd accumulation of the ranks'
+  // (hi, lo) pairs in rank 0..p-1 order.  A single rank has nothing to
+  // fold: its pairs come back untouched (not renormalized).
   const int p = GetParam();
-  std::vector<std::vector<double>> blocking(static_cast<std::size_t>(p));
-  std::vector<std::vector<double>> split(static_cast<std::size_t>(p));
+  const auto contribution = [](int rank) {
+    const double r = rank;
+    return std::make_pair(
+        std::vector<double>{1.0 + r, 1e-30 * r, -2.5, 0.1 * (r + 1.0)},
+        std::vector<double>{1e-18 * r, 3e-40, 0.0, 1e-19 / (r + 1.0)});
+  };
+  std::vector<eft::dd> expect(4);
+  for (int r = 0; r < p; ++r) {
+    const auto [hi, lo] = contribution(r);
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      if (p == 1) {
+        expect[i] = eft::dd{hi[i], lo[i]};
+      } else {
+        eft::dd_add(expect[i], eft::dd{hi[i], lo[i]});
+      }
+    }
+  }
+  std::vector<std::vector<double>> got(static_cast<std::size_t>(p));
   par::spmd_run(p, [&](par::Communicator& comm) {
-    const double r = comm.rank();
-    std::vector<double> v1 = {0.1 * r, -3.0 * r, 7.5, r * r};
-    std::vector<double> v2 = v1;
-    comm.allreduce_sum(v1);
-    auto req = comm.iallreduce_sum(v2);
-    // Local compute inside the overlap window must not perturb bits.
-    volatile double sink = 0.0;
-    for (int i = 0; i < 1000; ++i) sink = sink + 1.0;
-    req.wait();
-    blocking[static_cast<std::size_t>(comm.rank())] = v1;
-    split[static_cast<std::size_t>(comm.rank())] = v2;
+    auto [hi, lo] = contribution(comm.rank());
+    comm.allreduce_sum_dd(hi, lo);
+    hi.insert(hi.end(), lo.begin(), lo.end());
+    got[static_cast<std::size_t>(comm.rank())] = hi;
   });
   for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(blocking[static_cast<std::size_t>(r)],
-              split[static_cast<std::size_t>(r)]);
+    const auto& g = got[static_cast<std::size_t>(r)];
+    ASSERT_EQ(g.size(), 2 * expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_EQ(g[i], expect[i].hi) << "rank " << r << " hi[" << i << "]";
+      EXPECT_EQ(g[expect.size() + i], expect[i].lo)
+          << "rank " << r << " lo[" << i << "]";
+    }
   }
 }
 
-TEST_P(SpmdRanks, IallreduceSumDdMatchesBlockingBitwise) {
-  const int p = GetParam();
-  std::vector<std::vector<double>> blocking(static_cast<std::size_t>(p));
-  std::vector<std::vector<double>> split(static_cast<std::size_t>(p));
-  par::spmd_run(p, [&](par::Communicator& comm) {
-    const double r = comm.rank();
-    std::vector<double> hi1 = {1.0 + r, 1e-30 * r, -2.5};
-    std::vector<double> lo1 = {1e-18 * r, 3e-40, 0.0};
-    std::vector<double> hi2 = hi1, lo2 = lo1;
-    comm.allreduce_sum_dd(hi1, lo1);
-    auto req = comm.iallreduce_sum_dd(hi2, lo2);
-    req.wait();
-    std::vector<double> b = hi1;
-    b.insert(b.end(), lo1.begin(), lo1.end());
-    std::vector<double> s = hi2;
-    s.insert(s.end(), lo2.begin(), lo2.end());
-    blocking[static_cast<std::size_t>(comm.rank())] = b;
-    split[static_cast<std::size_t>(comm.rank())] = s;
-  });
-  for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(blocking[static_cast<std::size_t>(r)],
-              split[static_cast<std::size_t>(r)]);
-  }
-}
-
-TEST_P(SpmdRanks, IbroadcastDeliversFromEveryRoot) {
-  const int p = GetParam();
-  for (int root = 0; root < p; ++root) {
-    std::vector<double> seen(static_cast<std::size_t>(p));
-    par::spmd_run(p, [&](par::Communicator& comm) {
-      std::vector<double> v = {comm.rank() == root ? 19.25 : -1.0};
-      auto req = comm.ibroadcast(v, root);
-      req.wait();
-      seen[static_cast<std::size_t>(comm.rank())] = v[0];
-    });
-    for (const double v : seen) EXPECT_DOUBLE_EQ(v, 19.25);
-  }
-}
-
-TEST(CommRequest, EmptyAndCompletedWaitAreNoOps) {
-  par::CommRequest empty;
-  EXPECT_FALSE(empty.active());
-  empty.wait();  // no-op
-  par::spmd_run(2, [&](par::Communicator& comm) {
-    double v = 1.0;
-    auto req = comm.iallreduce_sum(std::span<double>(&v, 1));
-    EXPECT_TRUE(req.active());
-    req.wait();
-    EXPECT_FALSE(req.active());
-    req.wait();  // second wait is a no-op
-    EXPECT_DOUBLE_EQ(v, 2.0);
-    // Move transfers ownership; the moved-from handle is inert.
-    auto req2 = comm.iallreduce_sum(std::span<double>(&v, 1));
-    par::CommRequest req3 = std::move(req2);
-    EXPECT_FALSE(req2.active());
-    EXPECT_TRUE(req3.active());
-    req3.wait();
-  });
-}
-
-TEST(CommRequest, DestructorCompletesOutstandingRequest) {
-  // Dropping an active request must keep the ranks collective (the
-  // destructor waits) and still deliver the reduced values.
-  std::vector<double> out(3, 0.0);
-  par::spmd_run(3, [&](par::Communicator& comm) {
-    double v = 1.0;
-    {
-      auto req = comm.iallreduce_sum(std::span<double>(&v, 1));
-    }  // destructor waits here
-    out[static_cast<std::size_t>(comm.rank())] = v;
-  });
-  for (const double v : out) EXPECT_DOUBLE_EQ(v, 3.0);
-}
-
-TEST(CommRequest, OverlapWindowDiscountsModeledLatency) {
-  // With compute between begin and wait that exceeds the modeled
-  // allreduce cost, (almost) the whole latency must be accounted as
-  // overlapped rather than injected.
+TEST(Spmd, BlockingCollectivesChargeFullModeledCost) {
+  // Collectives have no overlap window: each charges its whole modeled
+  // cost as exposed (spun) time and none as overlapped.
   const auto model = par::NetworkModel::cluster();
-  const double modeled = model.allreduce_seconds(4, 8);
-  ASSERT_GT(modeled, 0.0);
+  const double one = model.allreduce_seconds(4, sizeof(double));
+  const double two = model.allreduce_seconds(4, 2 * sizeof(double));
+  ASSERT_GT(one, 0.0);
   par::spmd_run(4, model, [&](par::Communicator& comm) {
     comm.reset_stats();
     double v = comm.rank();
-    auto req = comm.iallreduce_sum(std::span<double>(&v, 1));
-    util::spin_wait(4.0 * modeled);  // "interior work"
-    req.wait();
-    EXPECT_NEAR(comm.stats().overlapped_seconds, modeled, 1e-12);
-    EXPECT_DOUBLE_EQ(comm.stats().injected_seconds, 0.0);
-    // Blocking calls take no overlap credit: full cost is exposed.
     comm.allreduce_sum(std::span<double>(&v, 1));
-    EXPECT_NEAR(comm.stats().injected_seconds, modeled, 1e-12);
-    EXPECT_NEAR(comm.stats().overlapped_seconds, modeled, 1e-12);
+    EXPECT_NEAR(comm.stats().injected_seconds, one, 1e-12);
+    double lo = 0.0;
+    comm.allreduce_sum_dd(std::span<double>(&v, 1), std::span<double>(&lo, 1));
+    EXPECT_NEAR(comm.stats().injected_seconds, one + two, 1e-12);
+    comm.allreduce_max(std::span<double>(&v, 1));
+    EXPECT_NEAR(comm.stats().injected_seconds, 2.0 * one + two, 1e-12);
+    comm.broadcast(std::span<double>(&v, 1), 2);
+    EXPECT_NEAR(comm.stats().injected_seconds, 3.0 * one + two, 1e-12);
+    EXPECT_DOUBLE_EQ(comm.stats().overlapped_seconds, 0.0);
   });
 }
 
-TEST(CommRequest, ExchangeWindowDiscountsP2pLatency) {
+TEST(Spmd, ExchangeWindowDiscountsP2pLatency) {
   const auto model = par::NetworkModel::cluster();
   const double modeled = model.p2p_seconds(64);
   par::spmd_run(2, model, [&](par::Communicator& comm) {
@@ -320,38 +267,10 @@ TEST(CommRequest, ExchangeWindowDiscountsP2pLatency) {
     util::spin_wait(4.0 * modeled);  // interior rows
     const auto buf = comm.peer_buffer(1 - comm.rank());
     EXPECT_DOUBLE_EQ(buf[0], 1.0 * (1 - comm.rank()));
-    comm.exchange_end(64, 64);
+    const std::size_t bytes[] = {64};
+    comm.exchange_end(bytes, 64);
     EXPECT_EQ(comm.stats().bytes_exchanged, 64u);
     EXPECT_NEAR(comm.stats().overlapped_seconds, modeled, 1e-12);
-    EXPECT_DOUBLE_EQ(comm.stats().injected_seconds, 0.0);
-  });
-}
-
-TEST(CommRequest, NestedExchangeInsideReduceWindowCreditsBothWindows) {
-  // A halo exchange nested inside a pending reduce window (it has its
-  // own publication slot): one compute stretch spanning both windows
-  // earns each its own full overlap credit.
-  const auto model = par::NetworkModel::cluster();
-  const double modeled_ar = model.allreduce_seconds(2, 8);
-  const double modeled_x = model.p2p_seconds(64);
-  ASSERT_GT(modeled_ar, 0.0);
-  ASSERT_GT(modeled_x, 0.0);
-  par::spmd_run(2, model, [&](par::Communicator& comm) {
-    comm.reset_stats();
-    double v = 1.0 + comm.rank();
-    auto req = comm.iallreduce_sum(std::span<double>(&v, 1));
-
-    std::vector<double> mine(8, 1.0 * comm.rank());
-    comm.exchange_begin(mine);
-    util::spin_wait(4.0 * (modeled_ar + modeled_x));  // interior work
-    const auto buf = comm.peer_buffer(1 - comm.rank());
-    EXPECT_DOUBLE_EQ(buf[0], 1.0 * (1 - comm.rank()));
-    comm.exchange_end(64, 64);
-
-    req.wait();
-    EXPECT_DOUBLE_EQ(v, 3.0);
-    EXPECT_NEAR(comm.stats().overlapped_seconds, modeled_ar + modeled_x,
-                1e-12);
     EXPECT_DOUBLE_EQ(comm.stats().injected_seconds, 0.0);
   });
 }
