@@ -216,7 +216,7 @@ SolverOptions SolverOptions::parse(
   // wrong kind resets to the new solver's default.
   const bool incompatible_inherit =
       solver_set && !ortho_set && ortho_registry().contains(base.ortho) &&
-      ortho_registry().at(base.ortho).sstep != base.is_sstep();
+      bool(ortho_registry().at(base.ortho).make_manager) != base.is_sstep();
   if (incompatible_inherit) base.ortho.clear();
   base.ortho = base.resolved_ortho();
   return base;
@@ -307,7 +307,7 @@ void SolverOptions::validate() const {
         solver + "\"");
   }
   const OrthoEntry& ortho_entry = ortho_registry().at(resolved_ortho());
-  if (ortho_entry.sstep != is_sstep()) {
+  if (bool(ortho_entry.make_manager) != is_sstep()) {
     throw std::invalid_argument("SolverOptions: ortho \"" + resolved_ortho() +
                                 "\" is not available for solver \"" + solver +
                                 "\"");
@@ -433,7 +433,6 @@ krylov::GmresConfig SolverOptions::gmres_config() const {
   cfg.rtol = rtol;
   cfg.max_iters = max_iters;
   cfg.max_restarts = max_restarts;
-  ortho_registry().at(resolved_ortho()).configure_gmres(*this, cfg);
   return cfg;
 }
 
@@ -467,7 +466,7 @@ krylov::SStepGmresConfig SolverOptions::sstep_config() const {
   } else {
     cfg.basis = krylov::BasisKind::kMonomial;
   }
-  ortho_registry().at(resolved_ortho()).configure_sstep(*this, cfg);
+  cfg.manager_factory = ortho_registry().at(resolved_ortho()).make_manager;
   return cfg;
 }
 

@@ -17,58 +17,28 @@ using sparse::ord;
 Registry<OrthoEntry> make_ortho_registry() {
   Registry<OrthoEntry> reg("ortho scheme");
 
-  // Standard-GMRES orthogonalizations.
-  {
-    OrthoEntry e;
-    e.description = "classical Gram-Schmidt, twice (3 reduces/step)";
-    e.sstep = false;
-    e.configure_gmres = [](const SolverOptions&, krylov::GmresConfig& cfg) {
-      cfg.ortho = krylov::GmresConfig::Ortho::kCgs2;
-    };
-    reg.add("cgs2", e);
-  }
-  {
-    OrthoEntry e;
-    e.description = "modified Gram-Schmidt (O(k) reduces/step)";
-    e.sstep = false;
-    e.configure_gmres = [](const SolverOptions&, krylov::GmresConfig& cfg) {
-      cfg.ortho = krylov::GmresConfig::Ortho::kMgs;
-    };
-    reg.add("mgs", e);
-  }
+  // Standard GMRES has one ortho; its null factory marks it.
+  reg.add("cgs2", {"classical Gram-Schmidt, twice (3 reduces/step)", nullptr});
 
   // s-step block orthogonalizations (Table III columns + diagnostics).
-  const auto scheme_entry = [&reg](const std::string& name,
-                                   std::string description,
-                                   krylov::ManagerFactory factory) {
-    OrthoEntry e;
-    e.description = std::move(description);
-    e.sstep = true;
-    e.configure_sstep = [factory](const SolverOptions&,
-                                  krylov::SStepGmresConfig& cfg) {
-      cfg.manager_factory = factory;
-    };
-    reg.add(name, e);
-  };
-  scheme_entry("bcgs2", "BCGS2 + CholQR2, the original s-step (5 reduces/panel)",
-               [](const krylov::SStepGmresConfig&) {
-                 return ortho::make_bcgs2_manager(ortho::IntraKind::kCholQR2);
-               });
-  scheme_entry("bcgs2_hhqr", "BCGS2 + Householder QR, stability reference",
-               [](const krylov::SStepGmresConfig&) {
-                 return ortho::make_bcgs2_manager(ortho::IntraKind::kHHQR);
-               });
-  scheme_entry("bcgs_pip", "single-pass BCGS-PIP (1 reduce, no re-ortho)",
-               [](const krylov::SStepGmresConfig&) {
-                 return ortho::make_bcgs_pip_manager();
-               });
-  scheme_entry("bcgs_pip2", "BCGS-PIP2, the paper's one-stage (2 reduces)",
-               [](const krylov::SStepGmresConfig&) {
-                 return ortho::make_bcgs_pip2_manager();
-               });
-  scheme_entry("two_stage",
-               "the paper's two-stage scheme (1 + s/bs reduces/panel)",
-               krylov::two_stage_manager);
+  reg.add("bcgs2",
+          {"BCGS2 + CholQR2, the original s-step (5 reduces/panel)",
+           [](const krylov::SStepGmresConfig&) {
+             return ortho::make_bcgs2_manager(ortho::IntraKind::kCholQR2);
+           }});
+  reg.add("bcgs2_hhqr",
+          {"BCGS2 + Householder QR, stability reference",
+           [](const krylov::SStepGmresConfig&) {
+             return ortho::make_bcgs2_manager(ortho::IntraKind::kHHQR);
+           }});
+  reg.add("bcgs_pip2",
+          {"BCGS-PIP2, the paper's one-stage (2 reduces)",
+           [](const krylov::SStepGmresConfig&) {
+             return ortho::make_bcgs_pip2_manager();
+           }});
+  reg.add("two_stage",
+          {"the paper's two-stage scheme (1 + s/bs reduces/panel)",
+           krylov::two_stage_manager});
   return reg;
 }
 

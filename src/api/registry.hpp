@@ -14,7 +14,6 @@
 // schemes (e.g. the random-sketching direction of arXiv:2503.16717) can
 // self-register from their own translation units.
 
-#include "krylov/gmres.hpp"
 #include "krylov/sstep_gmres.hpp"
 #include "precond/preconditioner.hpp"
 #include "sparse/csr.hpp"
@@ -85,18 +84,11 @@ class Registry {
   std::vector<std::pair<std::string, Entry>> entries_;
 };
 
-/// A block-orthogonalization scheme (or a standard-GMRES ortho).  One
-/// of the two configure hooks is set, matching `sstep`.
+/// An orthogonalization scheme: the s-step manager factory the name
+/// selects, or null for the one standard-GMRES ortho (`cgs2`).
 struct OrthoEntry {
   std::string description;
-  bool sstep = true;
-  /// Applies the scheme to a lowered s-step config (sets its
-  /// `manager_factory`).
-  std::function<void(const SolverOptions&, krylov::SStepGmresConfig&)>
-      configure_sstep;
-  /// Applies the scheme to a lowered standard-GMRES config.
-  std::function<void(const SolverOptions&, krylov::GmresConfig&)>
-      configure_gmres;
+  krylov::ManagerFactory make_manager;
 };
 
 /// Preconditioner factory: builds the rank-local preconditioner for one

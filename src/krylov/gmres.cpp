@@ -90,11 +90,7 @@ SolveResult gmres(par::Communicator& comm, const sparse::DistCsr& a,
       op.apply(comm, qk, w, &res.timers);
 
       std::span<double> hk(h.data(), static_cast<std::size_t>(k) + 2);
-      if (cfg.ortho == GmresConfig::Ortho::kCgs2) {
-        ortho::cgs2_step(octx, basis.view().columns(0, k + 1), w, hk);
-      } else {
-        ortho::mgs_step(octx, basis.view().columns(0, k + 1), w, hk);
-      }
+      ortho::cgs2_step(octx, basis.view().columns(0, k + 1), w, hk);
 
       res.timers.start("ortho/small");
       ls.append_column(hk);

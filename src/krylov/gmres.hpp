@@ -28,7 +28,6 @@ struct GmresConfig {
   double conv_reference = 0.0;
   long max_iters = 1000000;
   int max_restarts = 1000000;
-  enum class Ortho { kCgs2, kMgs } ortho = Ortho::kCgs2;
   /// Optional per-restart observer (see solver.hpp).
   ProgressCallback on_restart;
   /// Cooperative cancellation: when non-null, polled at every restart

@@ -62,25 +62,4 @@ void cgs2_step(OrthoContext& ctx, ConstMatrixView q, std::span<double> v,
   }
 }
 
-void mgs_step(OrthoContext& ctx, ConstMatrixView q, std::span<double> v,
-              std::span<double> h) {
-  const auto nq = static_cast<std::size_t>(q.cols);
-  assert(h.size() == nq + 1);
-  for (std::size_t k = 0; k < nq; ++k) {
-    ConstMatrixView col = q.columns(static_cast<index_t>(k), 1);
-    std::span<const double> qk(col.data, static_cast<std::size_t>(col.rows));
-    double hk = dense::dot(qk, v);
-    if (ctx.comm) {
-      if (ctx.timers) ctx.timers->start("ortho/reduce");
-      hk = ctx.comm->allreduce_sum_scalar(hk);
-      if (ctx.timers) ctx.timers->stop("ortho/reduce");
-    }
-    h[k] = hk;
-    dense::axpy(-hk, qk, v);
-  }
-  const double nrm = global_norm(ctx, v);
-  h[nq] = nrm;
-  if (nrm > 0.0) dense::scal(1.0 / nrm, v);
-}
-
 }  // namespace tsbo::ortho

@@ -16,8 +16,4 @@ namespace tsbo::ortho {
 void cgs2_step(OrthoContext& ctx, ConstMatrixView q, std::span<double> v,
                std::span<double> h);
 
-/// Modified Gram-Schmidt variant (q + 1 reduces; reference).
-void mgs_step(OrthoContext& ctx, ConstMatrixView q, std::span<double> v,
-              std::span<double> h);
-
 }  // namespace tsbo::ortho

@@ -238,29 +238,4 @@ void hhqr(OrthoContext& ctx, MatrixView v, MatrixView r) {
   }
 }
 
-void mgs(OrthoContext& ctx, MatrixView v, MatrixView r) {
-  assert(r.rows == v.cols && r.cols == v.cols);
-  dense::fill(r, 0.0);
-  const index_t s = v.cols;
-  for (index_t j = 0; j < s; ++j) {
-    double* colj = v.col(j);
-    std::span<double> cj(colj, static_cast<std::size_t>(v.rows));
-    for (index_t k = 0; k < j; ++k) {
-      const double* colk = v.col(k);
-      std::span<const double> ck(colk, static_cast<std::size_t>(v.rows));
-      double h = dense::dot(ck, cj);
-      if (ctx.comm) {
-        if (ctx.timers) ctx.timers->start("ortho/reduce");
-        h = ctx.comm->allreduce_sum_scalar(h);
-        if (ctx.timers) ctx.timers->stop("ortho/reduce");
-      }
-      r(k, j) = h;
-      dense::axpy(-h, ck, cj);
-    }
-    const double nrm = global_norm(ctx, cj);
-    r(j, j) = nrm;
-    if (nrm > 0.0) dense::scal(1.0 / nrm, cj);
-  }
-}
-
 }  // namespace tsbo::ortho

@@ -9,7 +9,6 @@
 //   CholQR2           2 reduces
 //   shifted CholQR3   3 reduces    (stability remedy of [11])
 //   HHQR              O(s) reduces (column-wise distributed Householder)
-//   MGS               O(s) reduces (reference)
 //
 // Precision / conditioning contracts (eps ~ 1.1e-16, u_dd = 2^-104):
 //   CholQR    orthogonality ~ kappa(V)^2 * eps; Cholesky breaks down
@@ -20,7 +19,6 @@
 //             the valid range to kappa(V) up to ~u_dd^{-1/2} ~ 1e15
 //             at unchanged synchronization count
 //   shifted CholQR3 / HHQR: O(eps) for any numerically full-rank V
-//   MGS       orthogonality ~ kappa(V) * eps
 // Breakdowns surface per ctx.policy (throw vs shifted retry); see
 // multivector.hpp.
 
@@ -46,9 +44,5 @@ void shifted_cholqr3(OrthoContext& ctx, MatrixView v, MatrixView r);
 /// O(s)-synchronization behaviour the paper contrasts CholQR against.
 /// Requires rank 0 to own at least s rows (1-D block layout, n >> s).
 void hhqr(OrthoContext& ctx, MatrixView v, MatrixView r);
-
-/// Modified Gram-Schmidt, column-wise (reference implementation; 2
-/// reduces per column).
-void mgs(OrthoContext& ctx, MatrixView v, MatrixView r);
 
 }  // namespace tsbo::ortho

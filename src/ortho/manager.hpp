@@ -93,10 +93,6 @@ class BlockOrthoManager {
 std::unique_ptr<BlockOrthoManager> make_bcgs2_manager(
     IntraKind intra = IntraKind::kCholQR2);
 
-/// One-stage manager around single-pass BCGS-PIP (one reduce per panel,
-/// *no* re-orthogonalization — ablation/diagnostic use).
-std::unique_ptr<BlockOrthoManager> make_bcgs_pip_manager();
-
 /// One-stage manager around BCGS-PIP2 (paper Fig. 4b).
 std::unique_ptr<BlockOrthoManager> make_bcgs_pip2_manager();
 

@@ -67,8 +67,6 @@ class Bcgs2Manager final : public OneStageManager {
         return "BCGS2(CholQR2)";
       case IntraKind::kHHQR:
         return "BCGS2(HHQR)";
-      case IntraKind::kShiftedCholQR3:
-        return "BCGS2(sCholQR3)";
     }
     return "BCGS2";
   }
@@ -79,8 +77,6 @@ class Bcgs2Manager final : public OneStageManager {
         return 5.0;
       case IntraKind::kHHQR:
         return 3.0 + 3.0 * static_cast<double>(s);
-      case IntraKind::kShiftedCholQR3:
-        return 6.0;
     }
     return 5.0;
   }
@@ -92,20 +88,6 @@ class Bcgs2Manager final : public OneStageManager {
   }
 
   IntraKind intra_;
-};
-
-class BcgsPipManager final : public OneStageManager {
- public:
-  [[nodiscard]] std::string name() const override { return "BCGS-PIP"; }
-  [[nodiscard]] double syncs_per_s_steps(index_t, index_t) const override {
-    return 1.0;
-  }
-
- private:
-  void run(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
-           MatrixView r_prev, MatrixView r_diag) override {
-    bcgs_pip(ctx, q, v, r_prev, r_diag);
-  }
 };
 
 class BcgsPip2Manager final : public OneStageManager {
@@ -272,10 +254,6 @@ class TwoStageManager final : public BlockOrthoManager {
 
 std::unique_ptr<BlockOrthoManager> make_bcgs2_manager(IntraKind intra) {
   return std::make_unique<Bcgs2Manager>(intra);
-}
-
-std::unique_ptr<BlockOrthoManager> make_bcgs_pip_manager() {
-  return std::make_unique<BcgsPipManager>();
 }
 
 std::unique_ptr<BlockOrthoManager> make_bcgs_pip2_manager() {

@@ -5,6 +5,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 namespace tsbo::par {
@@ -35,6 +36,10 @@ Communicator::Communicator(SpmdContext& ctx, int rank)
   assert(rank >= 0 && rank < ctx.nranks());
 }
 
+namespace {
+constexpr int kSpinsBeforeYield = 1024;
+}  // namespace
+
 void Communicator::barrier() {
   stats_.barriers += 1;
   if (ctx_.nranks_ == 1) return;
@@ -44,8 +49,15 @@ void Communicator::barrier() {
     ctx_.arrived_.store(0, std::memory_order_relaxed);
     ctx_.sense_.store(my_sense, std::memory_order_release);
   } else {
+    // Spin briefly, then yield: with more ranks than cores a pure spin
+    // starves the rank that still has to arrive.
+    int spins = 0;
     while (ctx_.sense_.load(std::memory_order_acquire) != my_sense) {
-      // spin
+      if (spins < kSpinsBeforeYield) {
+        ++spins;
+      } else {
+        std::this_thread::yield();
+      }
     }
   }
 }

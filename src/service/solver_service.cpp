@@ -156,30 +156,19 @@ void SolverService::scheduler_loop() {
       std::unique_lock lock(mu_);
       cv_work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and fully drained
-      // Per-round caps, front to back, leaving the overflow queued in
-      // place: at most max_inflight_per_key jobs per operator key
-      // (fairness), and one job per spec under quarantine watch (each
-      // breaker decision then sees every earlier same-spec outcome).
-      // Relative order is preserved on both sides, and the front job is
-      // always taken, so every round makes progress.
-      std::map<std::string, std::size_t> per_key;
+      // Per-round cap, front to back, leaving the overflow queued in
+      // place: one job per spec under quarantine watch (each breaker
+      // decision then sees every earlier same-spec outcome).  Relative
+      // order is preserved on both sides, and the front job is always
+      // taken, so every round makes progress.
       std::set<std::string> watched;
       std::deque<Job> overflow;
       for (Job& j : queue_) {
-        std::size_t* key_count = nullptr;
-        if (cfg_.max_inflight_per_key > 0) {
-          key_count = &per_key[operator_cache_key(j.opts)];
-          if (*key_count >= cfg_.max_inflight_per_key) {
-            overflow.push_back(std::move(j));
-            continue;
-          }
-        }
         if (j.opts.quarantine_after > 0 &&
             !watched.insert(j.opts.to_string()).second) {
           overflow.push_back(std::move(j));
           continue;
         }
-        if (key_count != nullptr) ++*key_count;
         batch.push_back(std::move(j));
       }
       queue_ = std::move(overflow);

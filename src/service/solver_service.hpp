@@ -72,14 +72,6 @@ struct ServiceConfig {
   std::size_t cache_budget_bytes = std::size_t{256} << 20;
   /// ReportLog label of the --json artifact.
   std::string label = "service";
-  /// Per-dispatch-round cap on jobs sharing one operator-cache key
-  /// (0 = uncapped, the historical grab-the-whole-queue behavior).
-  /// Same-key jobs serialize on the entry's in_use mutex anyway; the
-  /// cap keeps a burst against one operator from occupying every pool
-  /// slot while other operators' jobs starve behind it.  Overflow
-  /// jobs stay queued — relative order preserved — and dispatch in
-  /// later rounds.
-  std::size_t max_inflight_per_key = 0;
   /// Exponential-backoff base for retries: attempt k+1 waits
   /// base * 2^(k-1) ms plus a deterministic per-job jitter
   /// (job id mod 3 ms) so colliding retry storms de-synchronize

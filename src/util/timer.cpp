@@ -57,14 +57,6 @@ void PhaseTimers::merge_max(const PhaseTimers& other) {
   }
 }
 
-void PhaseTimers::merge_sum(const PhaseTimers& other) {
-  for (const auto& [k, v] : other.buckets_) {
-    Bucket& b = buckets_[k];
-    b.seconds += v.seconds;
-    b.count += v.count;
-  }
-}
-
 void spin_wait(double seconds) {
   if (seconds <= 0.0) return;
   const auto deadline = std::chrono::steady_clock::now() +

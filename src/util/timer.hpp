@@ -66,9 +66,6 @@ class PhaseTimers {
   /// path across ranks).
   void merge_max(const PhaseTimers& other);
 
-  /// Element-wise sum (for aggregating totals over repetitions).
-  void merge_sum(const PhaseTimers& other);
-
  private:
   struct Bucket {
     double seconds = 0.0;

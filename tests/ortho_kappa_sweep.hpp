@@ -4,7 +4,9 @@
 // Drives one scheme, named by its ortho-registry key, over glued panels
 // of prescribed condition number through the BlockOrthoManager
 // interface — the same note_mpk_start / add_panel / finalize loop the
-// solver runs — and reports the three facts the stability story needs:
+// solver runs — or drives single-pass BCGS-PIP (the two-stage scheme's
+// stage 1, not a scheme of its own) panel by panel over the same glued
+// matrix, and reports the three facts the stability story needs:
 // whether the Gram Cholesky broke down (hard-failure policy), the final
 // orthogonality error of the accepted columns, and what the
 // conditioning monitor estimated along the way.  test_dd.cpp sweeps
@@ -38,21 +40,17 @@ struct KappaSweepSpec {
   std::uint64_t seed = 7;
 };
 
-/// Runs `scheme` (an ortho-registry key) over glued panels of condition
-/// number `kappa` under the hard-failure breakdown policy.
-inline KappaSweepResult kappa_sweep(const std::string& scheme, double kappa,
-                                    const KappaSweepSpec& spec = {}) {
+/// Orthogonalizes glued panels of condition number `kappa` (behind a
+/// random unit seed column) under the hard-failure breakdown policy.
+/// `orthogonalize(ctx, basis, r, l)` processes columns [1, m] in panels
+/// of spec.s and returns the number of accepted final columns.
+template <typename Orthogonalize>
+KappaSweepResult sweep_glued(double kappa, const KappaSweepSpec& spec,
+                             Orthogonalize&& orthogonalize) {
   using dense::index_t;
   using dense::Matrix;
 
   const index_t m = spec.s * spec.panels;
-  api::SolverOptions opts = api::SolverOptions::parse(
-      "solver=sstep ortho=" + scheme + " s=" + std::to_string(spec.s) +
-      " bs=" + std::to_string(spec.bs) + " m=" + std::to_string(m));
-  const krylov::SStepGmresConfig cfg = opts.sstep_config();
-  auto mgr = krylov::make_manager(cfg);
-  mgr->reset();
-
   synth::GluedSpec glue;
   glue.n = spec.n;
   glue.panels = spec.panels;
@@ -77,13 +75,7 @@ inline KappaSweepResult kappa_sweep(const std::string& scheme, double kappa,
   KappaSweepResult out;
   index_t accepted = 1;
   try {
-    for (int p = 0; p < spec.panels; ++p) {
-      const index_t q0 = static_cast<index_t>(p) * spec.s + 1;
-      mgr->note_mpk_start(ctx, l.view(), q0 - 1);
-      mgr->add_panel(ctx, basis.view(), q0, spec.s, r.view(), l.view());
-      accepted = q0 + spec.s;
-    }
-    accepted = mgr->finalize(ctx, basis.view(), m + 1, r.view(), l.view());
+    accepted = orthogonalize(ctx, basis.view(), r.view(), l.view());
   } catch (const ortho::CholeskyBreakdown&) {
     out.breakdown = true;
   }
@@ -93,6 +85,49 @@ inline KappaSweepResult kappa_sweep(const std::string& scheme, double kappa,
         dense::orthogonality_error(basis.view().columns(0, accepted));
   }
   return out;
+}
+
+/// Runs `scheme` (an ortho-registry key) through its BlockOrthoManager.
+inline KappaSweepResult kappa_sweep(const std::string& scheme, double kappa,
+                                    const KappaSweepSpec& spec = {}) {
+  using dense::index_t;
+
+  const index_t m = spec.s * spec.panels;
+  api::SolverOptions opts = api::SolverOptions::parse(
+      "solver=sstep ortho=" + scheme + " s=" + std::to_string(spec.s) +
+      " bs=" + std::to_string(spec.bs) + " m=" + std::to_string(m));
+  const krylov::SStepGmresConfig cfg = opts.sstep_config();
+  auto mgr = krylov::make_manager(cfg);
+  mgr->reset();
+  return sweep_glued(kappa, spec,
+                     [&](ortho::OrthoContext& ctx, dense::MatrixView basis,
+                         dense::MatrixView r, dense::MatrixView l) {
+                       for (index_t q0 = 1; q0 < m + 1; q0 += spec.s) {
+                         mgr->note_mpk_start(ctx, l, q0 - 1);
+                         mgr->add_panel(ctx, basis, q0, spec.s, r, l);
+                       }
+                       return mgr->finalize(ctx, basis, m + 1, r, l);
+                     });
+}
+
+/// Runs single-pass BCGS-PIP -- the two-stage scheme's stage 1 -- on
+/// each panel against every earlier column.
+inline KappaSweepResult bcgs_pip_sweep(double kappa,
+                                       const KappaSweepSpec& spec = {}) {
+  using dense::index_t;
+
+  const index_t m = spec.s * spec.panels;
+  return sweep_glued(kappa, spec,
+                     [&](ortho::OrthoContext& ctx, dense::MatrixView basis,
+                         dense::MatrixView r, dense::MatrixView) {
+                       for (index_t q0 = 1; q0 < m + 1; q0 += spec.s) {
+                         ortho::bcgs_pip(ctx, basis.columns(0, q0),
+                                         basis.columns(q0, spec.s),
+                                         r.block(0, q0, q0, spec.s),
+                                         r.block(q0, q0, spec.s, spec.s));
+                       }
+                       return m + 1;
+                     });
 }
 
 }  // namespace tsbo::test

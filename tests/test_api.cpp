@@ -67,18 +67,21 @@ TEST(SolverOptions, DefaultOrthoResolvesPerSolver) {
 }
 
 TEST(SolverOptions, SolverOverlayResetsIncompatibleInheritedOrtho) {
-  // "solver=gmres" on an s-step base (ortho already resolved to
-  // two_stage) must fall back to the gmres default...
-  const api::SolverOptions base = api::SolverOptions::parse("solver=sstep");
+  // "solver=gmres" on an s-step base with an explicit block scheme must
+  // fall back to the gmres default...
+  const api::SolverOptions base =
+      api::SolverOptions::parse("solver=sstep ortho=bcgs2");
   EXPECT_EQ(api::SolverOptions::parse("solver=gmres", base).ortho, "cgs2");
   // ...but an explicit or compatible scheme is preserved.
-  EXPECT_EQ(api::SolverOptions::parse("solver=gmres ortho=mgs", base).ortho,
-            "mgs");
-  const api::SolverOptions gbase =
-      api::SolverOptions::parse("solver=gmres ortho=mgs");
+  EXPECT_EQ(api::SolverOptions::parse("solver=sstep", base).ortho, "bcgs2");
+  EXPECT_EQ(api::SolverOptions::parse("rtol=1e-8", base).ortho, "bcgs2");
+  EXPECT_EQ(
+      api::SolverOptions::parse("solver=sstep ortho=bcgs_pip2", base).ortho,
+      "bcgs_pip2");
+  const api::SolverOptions gbase = api::SolverOptions::parse("solver=gmres");
   EXPECT_EQ(api::SolverOptions::parse("solver=sstep", gbase).ortho,
             "two_stage");
-  EXPECT_EQ(api::SolverOptions::parse("rtol=1e-8", gbase).ortho, "mgs");
+  EXPECT_EQ(api::SolverOptions::parse("rtol=1e-8", gbase).ortho, "cgs2");
 }
 
 TEST(SolverOptions, RejectsUnknownKeyWithSuggestion) {
@@ -158,7 +161,7 @@ TEST(SolverOptions, ValidateCatchesCrossFieldErrors) {
   EXPECT_THROW(
       api::SolverOptions::parse("solver=gmres ortho=two_stage").validate(),
       std::invalid_argument);
-  EXPECT_THROW(api::SolverOptions::parse("solver=sstep ortho=mgs").validate(),
+  EXPECT_THROW(api::SolverOptions::parse("solver=sstep ortho=cgs2").validate(),
                std::invalid_argument);
   EXPECT_THROW(api::SolverOptions::parse("solver=hybrid").validate(),
                std::invalid_argument);
@@ -190,12 +193,18 @@ TEST(SolverOptions, FromCliReadsEveryKey) {
 // ---- registries ------------------------------------------------------
 
 TEST(Registries, OrthoCoversEverySchemeName) {
-  const std::vector<std::string> names = api::ortho_registry().names();
-  ASSERT_GE(names.size(), 7u);  // cgs2, mgs + 5 block schemes
+  // GMRES+CGS2 and the s-step schemes of Table III, plus the BCGS2+HHQR
+  // stability reference, in paper order.  Single-pass BCGS-PIP exists
+  // only as the two-stage scheme's stage 1, not as a name.  The
+  // test-only alias another test registers is left out.
+  std::vector<std::string> names = api::ortho_registry().names();
+  std::erase(names, "two_stage_alias");
+  EXPECT_EQ(names, (std::vector<std::string>{"cgs2", "bcgs2", "bcgs2_hhqr",
+                                             "bcgs_pip2", "two_stage"}));
   for (const std::string& name : names) {
     const api::OrthoEntry& entry = api::ortho_registry().at(name);
     EXPECT_FALSE(entry.description.empty()) << name;
-    if (entry.sstep) {
+    if (entry.make_manager) {
       const api::SolverOptions opts =
           api::SolverOptions::parse("solver=sstep ortho=" + name);
       const krylov::SStepGmresConfig cfg = opts.sstep_config();
@@ -211,13 +220,19 @@ TEST(Registries, OrthoCoversEverySchemeName) {
 }
 
 TEST(Registries, UnknownNameErrorsCarrySuggestions) {
-  try {
-    (void)api::ortho_registry().at("two_stge");
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("two_stage"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("known:"), std::string::npos) << msg;
+  // A typo, and the deleted mgs / single-pass bcgs_pip schemes.
+  for (const auto& [name, hint] :
+       {std::pair{"two_stge", "two_stage"}, std::pair{"mgs", "cgs2"},
+        std::pair{"bcgs_pip", "bcgs_pip2"}}) {
+    try {
+      (void)api::SolverOptions::parse(std::string("ortho=") + name).validate();
+      ADD_FAILURE() << name << ": expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      const std::string suggestion = std::string("did you mean \"") + hint;
+      EXPECT_NE(msg.find(suggestion), std::string::npos) << msg;
+      EXPECT_NE(msg.find("known:"), std::string::npos) << msg;
+    }
   }
 }
 
@@ -270,12 +285,8 @@ TEST(Registries, SelfRegisteredSchemeRunsThroughManagerFactory) {
   // SStepGmresConfig::manager_factory, like every built-in scheme.
   api::OrthoEntry entry;
   entry.description = "test-only alias of the two-stage manager";
-  entry.sstep = true;
-  entry.configure_sstep = [](const api::SolverOptions&,
-                             krylov::SStepGmresConfig& cfg) {
-    cfg.manager_factory = [](const krylov::SStepGmresConfig& c) {
-      return ortho::make_two_stage_manager(c.bs);
-    };
+  entry.make_manager = [](const krylov::SStepGmresConfig& c) {
+    return ortho::make_two_stage_manager(c.bs);
   };
   api::ortho_registry().add("two_stage_alias", entry);
 

@@ -150,12 +150,7 @@ INSTANTIATE_TEST_SUITE_P(
         IntraCase{"hhqr",
                   [](ortho::OrthoContext& c, dense::MatrixView v,
                      dense::MatrixView r) { ortho::hhqr(c, v, r); },
-                  1e14, 1e-12, 1e-13, -1},
-        // MGS: orthogonality kappa * eps.
-        IntraCase{"mgs",
-                  [](ortho::OrthoContext& c, dense::MatrixView v,
-                     dense::MatrixView r) { ortho::mgs(c, v, r); },
-                  1e3, 1e-10, 1e-11, -1}),
+                  1e14, 1e-12, 1e-13, -1}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(CholQr, OrthogonalityErrorGrowsAsKappaSquared) {

@@ -401,46 +401,6 @@ TEST(Service, DeadlineTimesOutButQueueDrains) {
   EXPECT_EQ(svc.wait(after).outcome, service::JobOutcome::kOk);
 }
 
-TEST(Service, MaxInflightPerKeyCapsBurstsButKeepsRelativeOrder) {
-  // Uncapped reference run (threads=1: completion order == dispatch).
-  par::set_num_threads(1);
-  // The burst is enqueued atomically, so the first dispatch round sees
-  // all five jobs whatever the host load.
-  std::vector<api::SolverOptions> burst;
-  for (const int nx : {24, 24, 24, 28, 32}) burst.push_back(bounded_opts(nx, 2));
-  std::vector<std::vector<double>> ref;
-  {
-    service::SolverService svc;
-    for (const std::uint64_t id : svc.submit_burst(burst)) {
-      ref.push_back(svc.wait(id).solution);
-    }
-  }
-
-  service::ServiceConfig cfg;
-  cfg.max_inflight_per_key = 1;
-  service::SolverService svc(cfg);
-  const std::vector<std::uint64_t> ids = svc.submit_burst(burst);
-  std::vector<service::JobResult> results;
-  for (const std::uint64_t id : ids) results.push_back(svc.wait(id));
-
-  // Solutions are unaffected by the scheduling policy.
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].outcome, service::JobOutcome::kOk);
-    EXPECT_EQ(results[i].solution, ref[i]) << "job " << i;
-  }
-  // Round 1 takes the first nx=24 job plus the nx=28 and nx=32 jobs
-  // (first of each key, front to back); the capped nx=24 repeats land
-  // in later rounds.  Jobs the cap does not affect keep their relative
-  // order — and jump ahead of the same-key overflow instead of
-  // starving behind it.
-  EXPECT_EQ(results[0].dispatch_seq, 0u);  // first 24
-  EXPECT_EQ(results[3].dispatch_seq, 1u);  // 28: round 1
-  EXPECT_EQ(results[4].dispatch_seq, 2u);  // 32: round 1
-  EXPECT_EQ(results[1].dispatch_seq, 3u);  // second 24: round 2
-  EXPECT_EQ(results[2].dispatch_seq, 4u);  // third 24: round 3
-  par::set_num_threads(0);
-}
-
 TEST(Service, WarmStartSeedsAreKeyedByRhsFingerprint) {
   api::SolverOptions opts = bounded_opts(32, 2);
   opts.rtol = 1e-8;

@@ -166,7 +166,7 @@ TEST(SstepGmres, OneHaloExchangePerKrylovColumn) {
   // it away, and a batch never falls back to per-column products.
   const Problem p = make_problem(sparse::laplace2d_5pt(40, 40));
   for (const std::string& name : api::ortho_registry().names()) {
-    if (!api::ortho_registry().at(name).sstep) continue;
+    if (!api::ortho_registry().at(name).make_manager) continue;
     for (const char* shape :
          {"s=5 bs=20", "s=5 bs=60", "s=4 bs=12 m=48 precond=jacobi"}) {
       for (const int k : {1, 2, 3}) {
