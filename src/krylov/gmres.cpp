@@ -85,9 +85,9 @@ SolveResult gmres(par::Communicator& comm, const sparse::DistCsr& a,
 
     bool inner_converged = false;
     for (index_t k = 0; k < cfg.m && res.iters < cfg.max_iters; ++k) {
-      std::span<const double> qk(basis.col(k), nloc);
+      op.apply_block(comm, basis.view().columns(k, 1),
+                     basis.view().columns(k + 1, 1), &res.timers);
       std::span<double> w(basis.col(k + 1), nloc);
-      op.apply(comm, qk, w, &res.timers);
 
       std::span<double> hk(h.data(), static_cast<std::size_t>(k) + 2);
       ortho::cgs2_step(octx, basis.view().columns(0, k + 1), w, hk);
@@ -115,7 +115,9 @@ SolveResult gmres(par::Communicator& comm, const sparse::DistCsr& a,
       res.timers.start("ortho/small");
       dense::gemv(1.0, basis.view().columns(0, used), y, 0.0, z);
       res.timers.stop("ortho/small");
-      op.apply_minv(z, tmp, &res.timers);
+      const auto n = static_cast<index_t>(nloc);
+      op.apply_minv_multi({z.data(), n, 1, n}, {tmp.data(), n, 1, n},
+                          &res.timers);
       dense::axpy(1.0, tmp, x);
     }
     res.restarts += 1;

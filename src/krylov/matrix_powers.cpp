@@ -5,70 +5,35 @@
 
 namespace tsbo::krylov {
 
-void PrecOperator::apply(par::Communicator& comm, std::span<const double> x,
-                         std::span<double> y, util::PhaseTimers* timers) const {
-  if (m_ != nullptr) {
-    if (timers) timers->start("precond");
-    m_->apply(x, tmp_);
-    if (timers) timers->stop("precond");
-    a_.spmv(comm, tmp_, y, timers);
-  } else {
-    a_.spmv(comm, x, y, timers);
-  }
-}
-
 void PrecOperator::apply_block(par::Communicator& comm,
                                dense::ConstMatrixView x, dense::MatrixView y,
                                util::PhaseTimers* timers) const {
-  const auto nloc = static_cast<std::size_t>(x.rows);
-  if (x.cols == 1) {
-    apply(comm, {x.col(0), nloc}, {y.col(0), nloc}, timers);
+  if (m_ == nullptr) {
+    a_.apply(comm, x, y, timers);
     return;
   }
-  if (m_ != nullptr) {
-    tmp_multi_.resize(nloc * static_cast<std::size_t>(x.cols));
-    dense::MatrixView mx{tmp_multi_.data(), x.rows, x.cols, x.rows};
-    if (timers) timers->start("precond");
-    m_->apply_multi(nloc, static_cast<std::size_t>(x.cols), x.data,
-                    static_cast<std::size_t>(x.ld), mx.data,
-                    static_cast<std::size_t>(mx.ld));
-    if (timers) timers->stop("precond");
-    a_.spmm(comm, mx, y, timers);
-  } else {
-    a_.spmm(comm, x, y, timers);
-  }
-}
-
-void PrecOperator::apply_minv(std::span<const double> x, std::span<double> y,
-                              util::PhaseTimers* timers) const {
-  if (m_ != nullptr) {
-    if (timers) timers->start("precond");
-    m_->apply(x, y);
-    if (timers) timers->stop("precond");
-  } else {
-    std::copy(x.begin(), x.end(), y.begin());
-  }
+  tmp_.resize(static_cast<std::size_t>(x.rows) *
+              static_cast<std::size_t>(x.cols));
+  const dense::MatrixView mx{tmp_.data(), x.rows, x.cols, x.rows};
+  apply_minv_multi(x, mx, timers);
+  a_.apply(comm, mx, y, timers);
 }
 
 void PrecOperator::apply_minv_multi(dense::ConstMatrixView x,
                                     dense::MatrixView y,
                                     util::PhaseTimers* timers) const {
   const auto nloc = static_cast<std::size_t>(x.rows);
-  if (x.cols == 1) {
-    apply_minv({x.col(0), nloc}, {y.col(0), nloc}, timers);
-    return;
-  }
-  if (m_ != nullptr) {
-    if (timers) timers->start("precond");
-    m_->apply_multi(nloc, static_cast<std::size_t>(x.cols), x.data,
-                    static_cast<std::size_t>(x.ld), y.data,
-                    static_cast<std::size_t>(y.ld));
-    if (timers) timers->stop("precond");
-  } else {
+  if (m_ == nullptr) {
     for (index_t t = 0; t < x.cols; ++t) {
       std::copy(x.col(t), x.col(t) + nloc, y.col(t));
     }
+    return;
   }
+  if (timers) timers->start("precond");
+  m_->apply_multi(nloc, static_cast<std::size_t>(x.cols), x.data,
+                  static_cast<std::size_t>(x.ld), y.data,
+                  static_cast<std::size_t>(y.ld));
+  if (timers) timers->stop("precond");
 }
 
 void matrix_powers(par::Communicator& comm, const PrecOperator& op,

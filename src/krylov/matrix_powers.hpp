@@ -6,9 +6,10 @@
 // neighborhood communication — rather than a communication-avoiding
 // MPK, because CA-MPK composes poorly with general preconditioners
 // (Section III).  We implement the same, driving the split-phase
-// DistCsr::spmv so each of the s halo exchanges is overlapped with the
-// interior rows of its own product (the modeled p2p latency is
-// discounted by that compute; see par/communicator.hpp).
+// DistCsr::apply so each of the s halo exchanges is overlapped with
+// the interior rows of its own product (the modeled p2p latency is
+// discounted by that compute; see par/communicator.hpp).  A b-column
+// block step is one apply of width b; one right-hand side is b = 1.
 
 #include "krylov/basis.hpp"
 #include "precond/preconditioner.hpp"
@@ -17,44 +18,34 @@
 
 namespace tsbo::krylov {
 
-/// The solver's operator: y = A M^{-1} x (right preconditioning), or
-/// plain y = A x when no preconditioner is attached.
+/// The solver's operator: Y = A M^{-1} X (right preconditioning), or
+/// plain Y = A X when no preconditioner is attached, on column-major
+/// rank-local blocks; one vector is a one-column block.
 class PrecOperator {
  public:
   PrecOperator(const sparse::DistCsr& a, const precond::Preconditioner* m)
-      : a_(a), m_(m), tmp_(static_cast<std::size_t>(a.n_local())) {}
+      : a_(a), m_(m) {}
 
   [[nodiscard]] const sparse::DistCsr& matrix() const { return a_; }
   [[nodiscard]] const precond::Preconditioner* preconditioner() const {
     return m_;
   }
 
-  void apply(par::Communicator& comm, std::span<const double> x,
-             std::span<double> y, util::PhaseTimers* timers) const;
-
-  /// Multi-column operator apply Y = A M^{-1} X (column-major
-  /// rank-local views).  One column runs apply() — the gather-vectorized
-  /// spmv, which rounds differently from spmm; wider blocks take one
-  /// fused preconditioner sweep plus ONE halo exchange for all columns
-  /// (DistCsr::spmm).
+  /// Y = A M^{-1} X: one preconditioner apply_multi over the block,
+  /// then ONE DistCsr::apply (one halo exchange) for all its columns.
+  /// X's columns must be contiguous (ld == rows) when it has several.
   void apply_block(par::Communicator& comm, dense::ConstMatrixView x,
                    dense::MatrixView y, util::PhaseTimers* timers) const;
 
-  /// Applies only M^{-1} (for recovering x from the preconditioned
-  /// correction).  Identity when no preconditioner.
-  void apply_minv(std::span<const double> x, std::span<double> y,
-                  util::PhaseTimers* timers) const;
-
-  /// Multi-column M^{-1} apply (identity copy when no preconditioner);
-  /// one column runs apply_minv().
+  /// Y = M^{-1} X only (for recovering x from the preconditioned
+  /// correction); a copy when no preconditioner is attached.
   void apply_minv_multi(dense::ConstMatrixView x, dense::MatrixView y,
                         util::PhaseTimers* timers) const;
 
  private:
   const sparse::DistCsr& a_;
   const precond::Preconditioner* m_;
-  mutable util::aligned_vector<double> tmp_;
-  mutable util::aligned_vector<double> tmp_multi_;  ///< nloc x b scratch
+  mutable util::aligned_vector<double> tmp_;  ///< nloc x k M^{-1} X scratch
 };
 
 /// Runs MPK on a basis of b-column blocks (flat column c belongs to

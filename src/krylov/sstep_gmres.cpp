@@ -133,13 +133,12 @@ double gamma_scale_estimate(par::Communicator& comm, const sparse::DistCsr& a,
   return comm.allreduce_max_scalar(est);
 }
 
-/// Explicit residuals R = B - A X of the RHS columns `cols` (written to
-/// the leading columns of `r`) and their norms.  One column runs the
-/// single-vector kernels: the gather-vectorized spmv and one norm
-/// reduce.  Wider blocks take one spmm (one halo exchange) and one Gram
-/// reduce G = R^T R, left in `g`: its diagonal gives the norms, and at
-/// a restart boundary it seeds the next cycle's CholQR with no second
-/// synchronization.
+/// Explicit residuals R = B - A X of the RHS columns `cols` (ascending;
+/// written to the leading columns of `r`) and their norms: one
+/// DistCsr::apply (one halo exchange) for all columns.  One column
+/// takes one norm reduce; wider blocks take one Gram reduce G = R^T R,
+/// left in `g`: its diagonal gives the norms, and at a restart boundary
+/// it seeds the next cycle's CholQR with no second synchronization.
 std::vector<double> residual_norms(par::Communicator& comm,
                                    ortho::OrthoContext& octx,
                                    const sparse::DistCsr& a,
@@ -150,16 +149,19 @@ std::vector<double> residual_norms(par::Communicator& comm,
                                    dense::Matrix& ax, dense::Matrix& g) {
   const auto w = static_cast<index_t>(cols.size());
   const auto nloc = static_cast<std::size_t>(r.rows());
-  if (w == 1) {
-    a.spmv(comm, {x.col(cols[0]), nloc}, {ax.col(0), nloc}, octx.timers);
-  } else {
+  // The apply publishes its operand as it is, so the columns must lie
+  // at stride nloc: an adjacent run of x's columns is used in place
+  // (one column always is one), anything else is packed into xwork.
+  dense::ConstMatrixView xa = x.columns(cols.front(), w);
+  if (cols.back() - cols.front() + 1 != w || (w > 1 && x.ld != x.rows)) {
+    if (xwork.cols() < w) xwork = dense::Matrix(r.rows(), w);
     for (index_t t = 0; t < w; ++t) {
       const double* xc = x.col(cols[static_cast<std::size_t>(t)]);
       std::copy(xc, xc + nloc, xwork.col(t));
     }
-    a.spmm(comm, xwork.block(0, 0, xwork.rows(), w),
-           ax.block(0, 0, ax.rows(), w), octx.timers);
+    xa = xwork.block(0, 0, xwork.rows(), w);
   }
+  a.apply(comm, xa, ax.block(0, 0, ax.rows(), w), octx.timers);
   for (index_t t = 0; t < w; ++t) {
     const double* bc = b.col(cols[static_cast<std::size_t>(t)]);
     const double* axc = ax.col(t);
@@ -336,9 +338,9 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
   dense::Matrix lmat((m + 1) * k, (m + 1) * k);
   dense::Matrix hmat((m + 1) * k, m * k);
   dense::Matrix rres(static_cast<index_t>(nloc), k);
-  // spmm input: the active x columns, packed (a width-1 residual reads
-  // x in place, so a single RHS never needs it).
-  dense::Matrix xwork(static_cast<index_t>(nloc), k > 1 ? k : 0);
+  // Packed apply operand for non-adjacent active columns (after a
+  // deflation); allocated on first need.
+  dense::Matrix xwork;
   dense::Matrix tmp(static_cast<index_t>(nloc), k);
   dense::Matrix z(static_cast<index_t>(nloc), k);
   dense::Matrix gram(k, k);
@@ -536,7 +538,7 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     res.restarts += 1;
 
     // Restart boundary: the explicit residuals of the corrected iterate
-    // (one spmv/spmm + one reduce, which also seed the next cycle).  A
+    // (one operator apply + one reduce, which also seed the next cycle).  A
     // column whose recurrence estimate or explicit residual meets its
     // target converges and deflates.
     gamma = residual_norms(comm, octx, a, b, x, active, rres, xwork, tmp, gram);

@@ -23,8 +23,10 @@
 // active residual block; its factor S0 forms the least-squares
 // right-hand side E1 S0, solved by one Householder reflector per column.
 //
-// Width 1 runs the single-vector kernels: the gather-vectorized spmv
-// and the scalar M^{-1} (PrecOperator), one norm reduce and a
+// Every width shares one operator path: each block step is one
+// preconditioner apply_multi plus one DistCsr::apply (PrecOperator),
+// whose column t is bitwise the one-column apply of column t.  Width 1
+// keeps its own small dense arithmetic: one norm reduce and a
 // reciprocal scale at the restart boundary, Givens rotations for the
 // least squares and gemv for the correction.  Results are
 // bitwise-reproducible across thread counts and stable across rank

@@ -14,7 +14,7 @@
 // synchronizes, folds the peers' contributions in rank order and
 // synchronizes again before returning.  The one overlap window is the
 // neighbor exchange (exchange_begin/exchange_end): compute performed
-// between the two — the interior SpMV rows in DistCsr::spmv — is
+// between the two — the interior SpMV rows in DistCsr::apply — is
 // credited against the modeled p2p latency (CommStats::
 // overlapped_seconds accounts the hidden share, injected_seconds the
 // exposed share actually spun), exactly as MPI_Irecv/Isend + interior
@@ -123,7 +123,7 @@ class Communicator {
   /// model, the sum of each peer message's cost
   /// (NetworkModel::p2p_round_seconds, single-port injection).  Compute
   /// performed between exchange_begin and exchange_end (interior SpMV
-  /// rows in the overlapped DistCsr::spmv) is credited against the
+  /// rows in the overlapped DistCsr::apply) is credited against the
   /// modeled p2p latency, mirroring MPI_Irecv/Isend + interior work +
   /// Waitall.  No collective may run inside the window.
   ///
@@ -144,7 +144,7 @@ class Communicator {
   /// paths.  Borrowed, job-scoped; the api facade installs it at the
   /// top of each spmd body.  The comm layer consults the
   /// `comm.allreduce` site at the entry of every allreduce; kernel
-  /// layers (DistCsr::spmv, the ortho Gram) consult their own sites
+  /// layers (DistCsr::apply, the ortho Gram) consult their own sites
   /// through consult_fault() on the communicator they already hold.
   void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
   [[nodiscard]] FaultInjector* fault_injector() const { return fault_; }

@@ -1,43 +1,14 @@
 #include "sparse/dist_csr.hpp"
 
-#include "par/config.hpp"
 #include "sparse/spmv.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 
 namespace tsbo::sparse {
-
-namespace {
-
-/// Copies the listed rows of `a` (ascending local row order) into a
-/// standalone CSR block, preserving each row's entry order verbatim.
-CsrMatrix extract_row_subset(const CsrMatrix& a, const std::vector<ord>& rows) {
-  CsrMatrix out;
-  out.rows = static_cast<ord>(rows.size());
-  out.cols = a.cols;
-  out.row_ptr.assign(rows.size() + 1, 0);
-  offset nnz = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    nnz += a.row_ptr[rows[i] + 1] - a.row_ptr[rows[i]];
-    out.row_ptr[i + 1] = nnz;
-  }
-  out.col_idx.resize(static_cast<std::size_t>(nnz));
-  out.values.resize(static_cast<std::size_t>(nnz));
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const offset src = a.row_ptr[rows[i]];
-    const offset len = a.row_ptr[rows[i] + 1] - src;
-    std::memcpy(out.col_idx.data() + out.row_ptr[i], a.col_idx.data() + src,
-                static_cast<std::size_t>(len) * sizeof(ord));
-    std::memcpy(out.values.data() + out.row_ptr[i], a.values.data() + src,
-                static_cast<std::size_t>(len) * sizeof(double));
-  }
-  return out;
-}
-
-}  // namespace
 
 DistCsr::DistCsr(const CsrMatrix& global, const RowPartition& partition,
                  int rank)
@@ -68,10 +39,10 @@ DistCsr::DistCsr(const CsrMatrix& global, const RowPartition& partition,
   }
   local_.cols = nlocal + static_cast<ord>(ghost_gid_.size());
 
-  // Deterministic interior/boundary row partition: a row is interior
-  // iff every column it touches is owned (< nlocal).  Ascending row
-  // order in both lists keeps the split reproducible and the blocks'
-  // per-row data bit-identical to local_'s.
+  // Deterministic interior/boundary split: a row is interior iff every
+  // column it touches is owned (< nlocal).  Consecutive rows of one kind
+  // form a run of local_ itself, so the split stores no second copy of
+  // a row and each run streams the rows in place.
   for (ord i = 0; i < local_.rows; ++i) {
     bool has_ghost = false;
     for (offset k = local_.row_ptr[i]; k < local_.row_ptr[i + 1]; ++k) {
@@ -80,10 +51,13 @@ DistCsr::DistCsr(const CsrMatrix& global, const RowPartition& partition,
         break;
       }
     }
-    (has_ghost ? boundary_rows_ : interior_rows_).push_back(i);
+    std::vector<RowRange>& runs = has_ghost ? boundary_ : interior_;
+    if (!runs.empty() && runs.back().end == i) {
+      runs.back().end = i + 1;
+    } else {
+      runs.push_back({i, i + 1});
+    }
   }
-  interior_ = extract_row_subset(local_, interior_rows_);
-  boundary_ = extract_row_subset(local_, boundary_rows_);
 
   ghost_owner_.resize(ghost_gid_.size());
   ghost_peer_offset_.resize(ghost_gid_.size());
@@ -92,14 +66,15 @@ DistCsr::DistCsr(const CsrMatrix& global, const RowPartition& partition,
     const int owner = partition_.owner(ghost_gid_[g]);
     ghost_owner_[g] = owner;
     ghost_peer_offset_[g] = ghost_gid_[g] - partition_.begin(owner);
-    per_peer[owner] += sizeof(double);
+    per_peer[owner] += 1;
   }
   // Per-peer pull sizes feed NetworkModel::p2p_round_seconds: the round
   // costs the sum over peers (single-port injection), not the max.
-  peer_recv_bytes_.reserve(per_peer.size());
-  for (const auto& [peer, bytes] : per_peer) {
-    peer_recv_bytes_.push_back(bytes);
+  peer_ghosts_.reserve(per_peer.size());
+  for (const auto& [peer, count] : per_peer) {
+    peer_ghosts_.push_back(count);
   }
+  peer_bytes_.resize(peer_ghosts_.size());
 
   xbuf_.resize(static_cast<std::size_t>(local_.cols));
 }
@@ -109,79 +84,110 @@ CsrMatrix DistCsr::local_diagonal_block() const {
   std::vector<Triplet> t;
   t.reserve(static_cast<std::size_t>(local_.nnz()));
   // Interior rows hold no ghost columns by construction: copy verbatim.
-  for (const ord i : interior_rows_) {
-    for (offset k = local_.row_ptr[i]; k < local_.row_ptr[i + 1]; ++k) {
-      t.push_back({i, local_.col_idx[static_cast<std::size_t>(k)],
-                   local_.values[static_cast<std::size_t>(k)]});
+  for (const RowRange& run : interior_) {
+    for (ord i = run.begin; i < run.end; ++i) {
+      for (offset k = local_.row_ptr[i]; k < local_.row_ptr[i + 1]; ++k) {
+        t.push_back({i, local_.col_idx[static_cast<std::size_t>(k)],
+                     local_.values[static_cast<std::size_t>(k)]});
+      }
     }
   }
   // Boundary rows: drop the ghost columns (block Jacobi across ranks).
-  for (const ord i : boundary_rows_) {
-    for (offset k = local_.row_ptr[i]; k < local_.row_ptr[i + 1]; ++k) {
-      const ord j = local_.col_idx[static_cast<std::size_t>(k)];
-      if (j < n) t.push_back({i, j, local_.values[static_cast<std::size_t>(k)]});
+  for (const RowRange& run : boundary_) {
+    for (ord i = run.begin; i < run.end; ++i) {
+      for (offset k = local_.row_ptr[i]; k < local_.row_ptr[i + 1]; ++k) {
+        const ord j = local_.col_idx[static_cast<std::size_t>(k)];
+        if (j < n) {
+          t.push_back({i, j, local_.values[static_cast<std::size_t>(k)]});
+        }
+      }
     }
   }
   return csr_from_triplets(n, n, std::move(t));
 }
 
-void DistCsr::fill_ghosts(par::Communicator& comm) const {
-  const std::size_t nlocal = static_cast<std::size_t>(n_local());
+void DistCsr::fill_ghosts(par::Communicator& comm, ord k) const {
+  // Column t of ghost g is entry t * n_local(owner) + offset of the
+  // owner's published block.
+  const auto nlocal = static_cast<std::size_t>(n_local());
+  const auto ld = static_cast<std::size_t>(local_.cols);
   for (std::size_t g = 0; g < ghost_gid_.size(); ++g) {
-    xbuf_[nlocal + g] =
-        comm.peer_buffer(ghost_owner_[g])[static_cast<std::size_t>(
-            ghost_peer_offset_[g])];
-  }
-}
-
-void DistCsr::gather_ghosts(par::Communicator& comm,
-                            std::span<const double> x_local) const {
-  assert(static_cast<ord>(x_local.size()) == n_local());
-  std::memcpy(xbuf_.data(), x_local.data(), x_local.size_bytes());
-  if (comm.size() > 1) {
-    comm.exchange_begin(x_local);
-    fill_ghosts(comm);
-    comm.exchange_end(peer_recv_bytes_, ghost_gid_.size() * sizeof(double));
-  }
-}
-
-void DistCsr::spmv(par::Communicator& comm, std::span<const double> x_local,
-                   std::span<double> y_local, util::PhaseTimers* timers) const {
-  assert(static_cast<ord>(y_local.size()) == n_local());
-  assert(static_cast<ord>(x_local.size()) == n_local());
-  if (comm.size() > 1) {
-    // Split-phase apply: open the exchange, multiply the interior rows
-    // while the modeled halo latency progresses, then gather the
-    // ghosts, close the exchange (which discounts the interior compute
-    // from the injected latency), and finish the boundary rows.
-    if (timers) timers->start("spmv/comm");
-    comm.exchange_begin(x_local);
-    if (timers) {
-      timers->stop("spmv/comm");
-      timers->start("spmv/local");
+    const int owner = ghost_owner_[g];
+    const std::span<const double> src = comm.peer_buffer(owner);
+    const auto src_ld = static_cast<std::size_t>(partition_.local_rows(owner));
+    const auto off = static_cast<std::size_t>(ghost_peer_offset_[g]);
+    for (std::size_t t = 0; t < static_cast<std::size_t>(k); ++t) {
+      xbuf_[t * ld + nlocal + g] = src[t * src_ld + off];
     }
-    std::memcpy(xbuf_.data(), x_local.data(), x_local.size_bytes());
-    spmv_rows_mapped(interior_, interior_rows_, xbuf_, y_local);
+  }
+}
+
+void DistCsr::apply(par::Communicator& comm, dense::ConstMatrixView x_local,
+                    dense::MatrixView y_local,
+                    util::PhaseTimers* timers) const {
+  const auto nlocal = static_cast<std::size_t>(n_local());
+  const ord k = x_local.cols;
+  assert(static_cast<std::size_t>(x_local.rows) == nlocal);
+  assert(static_cast<std::size_t>(y_local.rows) == nlocal);
+  assert(y_local.cols == k && k >= 1);
+  if (k > 1 && static_cast<std::size_t>(x_local.ld) != nlocal) {
+    throw std::invalid_argument(
+        "DistCsr::apply: the columns of X must be contiguous (ld == n_local)");
+  }
+  const auto ld = static_cast<std::size_t>(local_.cols);
+  xbuf_.resize(ld * static_cast<std::size_t>(k));
+  const auto run_rows = [&](std::span<const RowRange> runs) {
+    for (const RowRange& run : runs) {
+      for (ord t = 0; t < k; ++t) {
+        spmv_rows(local_, run.begin, run.end,
+                  {xbuf_.data() + static_cast<std::size_t>(t) * ld, ld},
+                  {y_local.col(t), nlocal});
+      }
+    }
+  };
+  const bool exchange = comm.size() > 1;
+  // Split-phase apply: open the exchange, multiply the interior rows
+  // while the modeled halo latency progresses, then gather the ghosts,
+  // close the exchange (which discounts the interior compute from the
+  // injected latency), and finish the boundary rows.
+  if (exchange) {
+    if (timers) timers->start("spmv/comm");
+    comm.exchange_begin({x_local.data, nlocal * static_cast<std::size_t>(k)});
+    if (timers) timers->stop("spmv/comm");
+  }
+  if (timers) timers->start("spmv/local");
+  for (ord t = 0; t < k; ++t) {
+    std::memcpy(xbuf_.data() + static_cast<std::size_t>(t) * ld,
+                x_local.col(t), nlocal * sizeof(double));
+  }
+  run_rows(interior_);
+  if (exchange) {
     if (timers) {
       timers->stop("spmv/local");
       timers->start("spmv/comm");
     }
-    fill_ghosts(comm);
-    comm.exchange_end(peer_recv_bytes_, ghost_gid_.size() * sizeof(double));
+    fill_ghosts(comm, k);
+    const std::size_t col_bytes = static_cast<std::size_t>(k) * sizeof(double);
+    for (std::size_t p = 0; p < peer_ghosts_.size(); ++p) {
+      peer_bytes_[p] = peer_ghosts_[p] * col_bytes;
+    }
+    comm.exchange_end(peer_bytes_, ghost_gid_.size() * col_bytes);
     if (timers) {
       timers->stop("spmv/comm");
       timers->start("spmv/local");
     }
-    spmv_rows_mapped(boundary_, boundary_rows_, xbuf_, y_local);
-    if (timers) timers->stop("spmv/local");
-  } else {
-    if (timers) timers->start("spmv/local");
-    std::memcpy(xbuf_.data(), x_local.data(), x_local.size_bytes());
-    spmv_rows_mapped(interior_, interior_rows_, xbuf_, y_local);
-    spmv_rows_mapped(boundary_, boundary_rows_, xbuf_, y_local);
-    if (timers) timers->stop("spmv/local");
   }
-  consult_spmv_faults(comm, y_local);
+  run_rows(boundary_);
+  if (timers) timers->stop("spmv/local");
+  // One fault consult per apply (not per column): a corrupt addresses
+  // the global row in column 0.
+  consult_spmv_faults(comm, {y_local.data, nlocal});
+}
+
+void DistCsr::spmv(par::Communicator& comm, std::span<const double> x_local,
+                   std::span<double> y_local, util::PhaseTimers* timers) const {
+  const auto n = static_cast<dense::index_t>(x_local.size());
+  apply(comm, {x_local.data(), n, 1, n}, {y_local.data(), n, 1, n}, timers);
 }
 
 void DistCsr::consult_spmv_faults(par::Communicator& comm,
@@ -208,89 +214,6 @@ void DistCsr::consult_spmv_faults(par::Communicator& comm,
   };
   injector->consult(comm.rank(), par::FaultSite::kSpmvInterior, corrupt);
   injector->consult(comm.rank(), par::FaultSite::kCommExchange, corrupt);
-}
-
-void DistCsr::spmm(par::Communicator& comm, dense::ConstMatrixView x_local,
-                   dense::MatrixView y_local, util::PhaseTimers* timers) const {
-  const ord nlocal = n_local();
-  assert(static_cast<ord>(x_local.rows) == nlocal);
-  assert(static_cast<ord>(y_local.rows) == nlocal);
-  assert(x_local.cols == y_local.cols);
-  const ord k = static_cast<ord>(x_local.cols);
-  assert(k >= 1);
-  xkbuf_.resize(static_cast<std::size_t>(local_.cols) *
-                static_cast<std::size_t>(k));
-  // Pack the owned entries k-interleaved BEFORE opening the exchange:
-  // exchange_begin publishes this buffer and peers read from it inside
-  // the begin/end window, so it must be complete at begin.
-  par::parallel_for_grained(
-      static_cast<std::size_t>(nlocal), [&](std::size_t b, std::size_t e) {
-        for (std::size_t j = b; j < e; ++j) {
-          double* dst = xkbuf_.data() + j * static_cast<std::size_t>(k);
-          for (ord t = 0; t < k; ++t) {
-            dst[t] = x_local(static_cast<dense::index_t>(j), t);
-          }
-        }
-      });
-  const std::span<const double> packed(
-      xkbuf_.data(), static_cast<std::size_t>(nlocal) * k);
-  if (comm.size() > 1) {
-    if (timers) timers->start("spmv/comm");
-    comm.exchange_begin(packed);
-    if (timers) {
-      timers->stop("spmv/comm");
-      timers->start("spmv/local");
-    }
-    spmm_rows_mapped(interior_, interior_rows_, xkbuf_.data(), k,
-                     y_local.data, static_cast<std::size_t>(y_local.ld));
-    if (timers) {
-      timers->stop("spmv/local");
-      timers->start("spmv/comm");
-    }
-    // Ghost row g arrives as k consecutive values at the owner's
-    // interleaved offset; one exchange moves k times the spmv volume.
-    for (std::size_t g = 0; g < ghost_gid_.size(); ++g) {
-      const double* src =
-          comm.peer_buffer(ghost_owner_[g]).data() +
-          static_cast<std::size_t>(ghost_peer_offset_[g]) * k;
-      double* dst =
-          xkbuf_.data() + (static_cast<std::size_t>(nlocal) + g) * k;
-      std::memcpy(dst, src, static_cast<std::size_t>(k) * sizeof(double));
-    }
-    peer_recv_bytes_k_.resize(peer_recv_bytes_.size());
-    for (std::size_t p = 0; p < peer_recv_bytes_.size(); ++p) {
-      peer_recv_bytes_k_[p] = peer_recv_bytes_[p] * static_cast<std::size_t>(k);
-    }
-    comm.exchange_end(peer_recv_bytes_k_,
-                      ghost_gid_.size() * static_cast<std::size_t>(k) *
-                          sizeof(double));
-    if (timers) {
-      timers->stop("spmv/comm");
-      timers->start("spmv/local");
-    }
-    spmm_rows_mapped(boundary_, boundary_rows_, xkbuf_.data(), k,
-                     y_local.data, static_cast<std::size_t>(y_local.ld));
-    if (timers) timers->stop("spmv/local");
-  } else {
-    if (timers) timers->start("spmv/local");
-    spmm_rows_mapped(interior_, interior_rows_, xkbuf_.data(), k,
-                     y_local.data, static_cast<std::size_t>(y_local.ld));
-    spmm_rows_mapped(boundary_, boundary_rows_, xkbuf_.data(), k,
-                     y_local.data, static_cast<std::size_t>(y_local.ld));
-    if (timers) timers->stop("spmv/local");
-  }
-  // One fault consult per apply (not per column): a corrupt addresses
-  // the global row in column 0, keeping the perturbed state invariant
-  // across rank counts exactly as in spmv().
-  consult_spmv_faults(
-      comm, std::span<double>(y_local.col(0), static_cast<std::size_t>(nlocal)));
-}
-
-void DistCsr::spmv_local_only(std::span<const double> x_local,
-                              std::span<double> y_local) const {
-  std::memcpy(xbuf_.data(), x_local.data(), x_local.size_bytes());
-  spmv_rows_mapped(interior_, interior_rows_, xbuf_, y_local);
-  spmv_rows_mapped(boundary_, boundary_rows_, xbuf_, y_local);
 }
 
 }  // namespace tsbo::sparse

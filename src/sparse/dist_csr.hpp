@@ -7,15 +7,18 @@
 // (non-communication-avoiding) matrix-powers substrate: SpMV applied s
 // times in sequence, each with neighborhood communication (Section III).
 //
-// Split-phase overlap: the local rows are partitioned deterministically
-// (ascending row order) into an INTERIOR block — rows touching only
-// owned columns — and a BOUNDARY block — rows with at least one ghost
-// column.  spmv() runs exchange_begin -> interior SpMV -> ghost gather
-// + exchange_end -> boundary SpMV, hiding the modeled p2p latency
-// behind the interior rows exactly like an MPI code posting
-// Irecv/Isend around its interior sweep.  Both blocks reuse the
-// spmv_rows per-row kernel unchanged, so the split product is bitwise
-// identical to the unsplit one at any rank/thread count.
+// One distributed product, apply(): Y = A X over a column-major
+// n_local x k block, with ONE neighbor exchange for all k columns.
+// spmv() is its one-column call.  The local rows are split into
+// ascending runs of INTERIOR rows (touching only owned columns) and
+// BOUNDARY rows (at least one ghost column) of the one stored matrix.
+// apply() runs exchange_begin -> interior runs -> ghost gather +
+// exchange_end -> boundary runs, hiding the modeled p2p latency behind
+// the interior rows exactly like an MPI code posting Irecv/Isend
+// around its interior sweep.  Every run and column goes through
+// spmv_rows, so column t of an apply is bitwise spmv() of column t,
+// and both equal the unsplit product, at any k, rank and thread
+// count.
 
 #include "dense/matrix.hpp"
 #include "par/communicator.hpp"
@@ -28,6 +31,12 @@
 #include <vector>
 
 namespace tsbo::sparse {
+
+/// A run [begin, end) of consecutive local rows.
+struct RowRange {
+  ord begin = 0;
+  ord end = 0;
+};
 
 class DistCsr {
  public:
@@ -44,22 +53,14 @@ class DistCsr {
   /// Global nnz summed over ranks (identical on all ranks).
   [[nodiscard]] offset nnz_local() const { return local_.nnz(); }
 
-  /// Interior/boundary row split (ghost-free vs ghost-touching rows).
-  /// Row i of interior_matrix() is local row interior_rows()[i]; same
-  /// for the boundary block.  Exposed for halo-reusing consumers
-  /// (preconditioners, tests).  Footprint note: the blocks replicate
-  /// local_'s entries (interior nnz + boundary nnz == local nnz), so a
-  /// rank stores its rows twice — the price of serving both the
-  /// overlapped split product and the row-ordered local_matrix()
-  /// consumers (norm estimates, preconditioner setup) without a merge
-  /// on every access.
-  [[nodiscard]] const CsrMatrix& interior_matrix() const { return interior_; }
-  [[nodiscard]] const CsrMatrix& boundary_matrix() const { return boundary_; }
-  [[nodiscard]] std::span<const ord> interior_rows() const {
-    return interior_rows_;
+  /// Interior/boundary row split (ghost-free vs ghost-touching local
+  /// rows) as ascending runs over local_matrix(); together they cover
+  /// every local row once.  Exposed for tests.
+  [[nodiscard]] std::span<const RowRange> interior_ranges() const {
+    return interior_;
   }
-  [[nodiscard]] std::span<const ord> boundary_rows() const {
-    return boundary_rows_;
+  [[nodiscard]] std::span<const RowRange> boundary_ranges() const {
+    return boundary_;
   }
 
   /// Ghost-stripped rank-local diagonal block (block-Jacobi substrate
@@ -69,80 +70,63 @@ class DistCsr {
   /// the result is identical to filtering every row.
   [[nodiscard]] CsrMatrix local_diagonal_block() const;
 
-  /// y_local = A x with compute-communication overlap: one neighbor
-  /// exchange is opened on `comm`, the interior rows are multiplied
-  /// while the modeled halo latency progresses, then the ghosts are
-  /// gathered and the boundary rows finish.  `timers` (optional)
-  /// receives "spmv/comm" and "spmv/local" phases.
+  /// Y = A X on the rank-local row blocks of a column-major n_local x k
+  /// block, with compute-communication overlap: one neighbor exchange
+  /// is opened on `comm` for all k columns, the interior rows are
+  /// multiplied while the modeled halo latency progresses, then the
+  /// ghosts are gathered and the boundary rows finish.  Each peer
+  /// message carries k times the one-column volume.  The owned block
+  /// is published as it is (zero copy), so its columns must be stored
+  /// contiguously: k == 1 or x_local.ld == n_local (throws otherwise).
+  /// `timers` (optional) receives "spmv/comm" and "spmv/local" phases.
+  void apply(par::Communicator& comm, dense::ConstMatrixView x_local,
+             dense::MatrixView y_local,
+             util::PhaseTimers* timers = nullptr) const;
+
+  /// y_local = A x: the one-column apply().
   void spmv(par::Communicator& comm, std::span<const double> x_local,
             std::span<double> y_local, util::PhaseTimers* timers = nullptr) const;
 
-  /// Multi-column product Y = A X (rank-local row blocks, column-major
-  /// views) with ONE halo exchange regardless of the column count k:
-  /// the owned entries are packed k-interleaved (entry (j, t) at
-  /// j*k + t) so each ghost row travels as k consecutive values, the
-  /// per-peer wire volume scales by k, and the interior/boundary split
-  /// with split-phase overlap is preserved exactly as in spmv().  The
-  /// pack completes before exchange_begin publishes the buffer, so
-  /// peers always read a consistent interleaved span.  Per-column
-  /// accumulation uses the plain serial row kernel (no SIMD gather) —
-  /// bits are thread- and rank-count invariant, but a k=1 spmm is NOT
-  /// bitwise-identical to spmv() on gather-vectorized wide rows, so
-  /// the s-step solver runs a width-1 block through spmv() instead.
-  void spmm(par::Communicator& comm, dense::ConstMatrixView x_local,
-            dense::MatrixView y_local, util::PhaseTimers* timers = nullptr) const;
-
-  /// Local-only product assuming ghosts are already in place (used by
-  /// preconditioners that reuse a gathered halo).
-  void spmv_local_only(std::span<const double> x_local,
-                       std::span<double> y_local) const;
-
-  /// Performs just the halo gather into the internal buffer.
-  void gather_ghosts(par::Communicator& comm,
-                     std::span<const double> x_local) const;
-
-  /// Approximate heap footprint of this rank's piece: the three CSR
-  /// blocks, the ghost/comm-plan arrays, and the halo buffer.  Used by
-  /// the operator cache's byte budget.
+  /// Approximate heap footprint of this rank's piece: the one stored
+  /// CSR block, the row runs, the ghost/comm-plan arrays, and the halo
+  /// buffer.  Used by the operator cache's byte budget.
   [[nodiscard]] std::size_t footprint_bytes() const {
-    return local_.storage_bytes() + interior_.storage_bytes() +
-           boundary_.storage_bytes() +
-           (interior_rows_.capacity() + boundary_rows_.capacity() +
-            ghost_gid_.capacity() + ghost_peer_offset_.capacity()) *
+    return local_.storage_bytes() +
+           (interior_.capacity() + boundary_.capacity()) * sizeof(RowRange) +
+           (ghost_gid_.capacity() + ghost_peer_offset_.capacity()) *
                sizeof(ord) +
            ghost_owner_.capacity() * sizeof(int) +
-           (peer_recv_bytes_.capacity() + peer_recv_bytes_k_.capacity()) *
+           (peer_ghosts_.capacity() + peer_bytes_.capacity()) *
                sizeof(std::size_t) +
-           (xbuf_.capacity() + xkbuf_.capacity()) * sizeof(double);
+           xbuf_.capacity() * sizeof(double);
   }
 
  private:
-  /// Copies peers' published values into the ghost tail of xbuf_;
-  /// valid only between exchange_begin and exchange_end.
-  void fill_ghosts(par::Communicator& comm) const;
+  /// Copies the k columns of peers' published values into the ghost
+  /// tails of xbuf_; valid only between exchange_begin and exchange_end.
+  void fill_ghosts(par::Communicator& comm, ord k) const;
 
-  /// Fault seam of spmv(): consults the `spmv.interior` and
-  /// `comm.exchange` sites once per apply on the completed y (see the
-  /// definition for the rank-count-invariance argument).
+  /// Fault seam of apply(): consults the `spmv.interior` and
+  /// `comm.exchange` sites once per apply on the completed first
+  /// column (see the definition for the rank-count-invariance
+  /// argument).
   void consult_spmv_faults(par::Communicator& comm,
                            std::span<double> y_local) const;
 
   int rank_;
   RowPartition partition_;
-  CsrMatrix local_;             // columns remapped: [0,nlocal) own, then ghosts
-  CsrMatrix interior_;          // ghost-free rows (row i -> interior_rows_[i])
-  CsrMatrix boundary_;          // ghost-touching rows
-  std::vector<ord> interior_rows_;
-  std::vector<ord> boundary_rows_;
+  CsrMatrix local_;  // columns remapped: [0,nlocal) own, then ghosts
+  std::vector<RowRange> interior_;  // runs of ghost-free local rows
+  std::vector<RowRange> boundary_;  // runs of ghost-touching local rows
   std::vector<ord> ghost_gid_;  // sorted global ids of ghost columns
   std::vector<int> ghost_owner_;
   std::vector<ord> ghost_peer_offset_;  // gid - peer row_begin
-  std::vector<std::size_t> peer_recv_bytes_;  // per-peer pull sizes
-  mutable util::aligned_vector<double> xbuf_;    // [x_local | ghosts]
-  // spmm scratch, sized lazily per apply: the k-interleaved operand
-  // [owned | ghosts] and the k-scaled per-peer pull sizes.
-  mutable util::aligned_vector<double> xkbuf_;
-  mutable std::vector<std::size_t> peer_recv_bytes_k_;
+  std::vector<std::size_t> peer_ghosts_;  // ghost count per peer
+  // Per-apply scratch: the per-peer pull sizes of a k-column exchange,
+  // and the halo buffer, k columns of [owned | ghosts] (stride
+  // local_.cols).
+  mutable std::vector<std::size_t> peer_bytes_;
+  mutable util::aligned_vector<double> xbuf_;
 };
 
 }  // namespace tsbo::sparse

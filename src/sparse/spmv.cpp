@@ -3,7 +3,6 @@
 #include "par/config.hpp"
 #include "util/simd.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace tsbo::sparse {
@@ -102,57 +101,6 @@ void spmv_rows(const CsrMatrix& a, ord begin, ord end,
         spmv_range(a, begin + static_cast<ord>(b), begin + static_cast<ord>(e),
                    x.data(), y.data());
       });
-}
-
-void spmv_rows_mapped(const CsrMatrix& a, std::span<const ord> rows,
-                      std::span<const double> x, std::span<double> y) {
-  assert(rows.size() == static_cast<std::size_t>(a.rows));
-  if (rows.empty()) return;
-  const offset* rp = a.row_ptr.data();
-  const ord* col = a.col_idx.data();
-  const double* val = a.values.data();
-  par::parallel_for_grained(rows.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      y[static_cast<std::size_t>(rows[i])] =
-          row_dot(val + rp[i], col + rp[i], rp[i + 1] - rp[i], x.data());
-    }
-  });
-}
-
-void spmm_rows_mapped(const CsrMatrix& a, std::span<const ord> rows,
-                      const double* xk, ord k, double* y, std::size_t ldy) {
-  assert(rows.size() == static_cast<std::size_t>(a.rows));
-  assert(k >= 1);
-  if (rows.empty()) return;
-  const offset* rp = a.row_ptr.data();
-  const ord* col = a.col_idx.data();
-  const double* val = a.values.data();
-  // Column chunks bound the accumulator set; each column's per-row sum
-  // still runs in ascending nnz order regardless of the chunking.
-  constexpr ord kColChunk = 16;
-  par::parallel_for_grained(rows.size(), [&](std::size_t b, std::size_t e) {
-    double acc[kColChunk];
-    for (ord t0 = 0; t0 < k; t0 += kColChunk) {
-      const ord tn = std::min<ord>(kColChunk, k - t0);
-      for (std::size_t i = b; i < e; ++i) {
-        for (ord t = 0; t < tn; ++t) acc[t] = 0.0;
-        const offset len = rp[i + 1] - rp[i];
-        const ord* c = col + rp[i];
-        const double* v = val + rp[i];
-        for (offset kk = 0; kk < len; ++kk) {
-          const double* xrow = xk + static_cast<std::size_t>(c[kk]) *
-                                        static_cast<std::size_t>(k) +
-                               t0;
-          const double akk = v[kk];
-          for (ord t = 0; t < tn; ++t) acc[t] += akk * xrow[t];
-        }
-        const std::size_t row = static_cast<std::size_t>(rows[i]);
-        for (ord t = 0; t < tn; ++t) {
-          y[(static_cast<std::size_t>(t0) + t) * ldy + row] = acc[t];
-        }
-      }
-    }
-  });
 }
 
 }  // namespace tsbo::sparse

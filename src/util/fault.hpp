@@ -3,7 +3,7 @@
 //
 // A FaultPlan is a list of (site, ordinal, action) triples: "at the
 // ordinal-th visit of the named site, do X".  The instrumented layers
-// (par::Communicator collectives, sparse::DistCsr::spmv, the ortho
+// (par::Communicator collectives, sparse::DistCsr::apply, the ortho
 // layer's fused stage-1 Gram, the solver service's dispatch) consult
 // their site through the FaultInjector installed on the rank's
 // communicator.  Determinism contract: SPMD ranks issue the
@@ -16,9 +16,10 @@
 // (the counters never depend on wall clock or thread interleaving).
 //
 // Ordinal addressing is also rank-count-invariant: sites are consulted
-// at logical algorithm boundaries (once per spmv, once per stage-1
-// Gram, ...) that exist at every rank count — e.g. DistCsr::spmv
-// consults `comm.exchange` even at ranks=1, where no exchange happens.
+// at logical algorithm boundaries (once per operator apply, once per
+// stage-1 Gram, ...) that exist at every rank count — e.g.
+// DistCsr::apply consults `comm.exchange` even at ranks=1, where no
+// exchange happens.
 //
 // Actions:
 //   throw       InjectedFault raised on every rank at the consult
@@ -30,7 +31,7 @@
 //               change: huge enough that the residual guard always
 //               sees it, finite so the arithmetic keeps running).  The
 //               consulting site chooses the payload; the spmv sites
-//               address a *global* vector entry, so the corrupted
+//               address a *global* entry of the apply's first column, so the corrupted
 //               state — and the whole downstream trajectory — is
 //               bitwise-identical at any rank count.
 //
@@ -58,8 +59,8 @@ namespace tsbo::par {
 /// The named injection sites (docs/algorithms.md "Fault injection").
 enum class FaultSite : int {
   kCommAllreduce = 0,  ///< entry of every (i)allreduce collective
-  kCommExchange,       ///< halo-exchange leg of DistCsr::spmv
-  kSpmvInterior,       ///< interior sweep of DistCsr::spmv
+  kCommExchange,       ///< halo-exchange leg of DistCsr::apply
+  kSpmvInterior,       ///< interior sweep of DistCsr::apply
   kGramStage1,         ///< fused stage-1 Gram (ortho layer)
   kServiceDispatch,    ///< per-attempt job dispatch (solver service)
 };

@@ -1,4 +1,5 @@
-// Distributed CSR: partition, halo exchange, distributed SpMV.
+// Distributed CSR: partition, halo exchange, the distributed block
+// apply and its one-column spmv.
 
 #include "par/config.hpp"
 #include "par/spmd.hpp"
@@ -12,6 +13,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <stdexcept>
 #include <vector>
 
 namespace {
@@ -204,11 +208,39 @@ TEST_P(SplitParityRanks, SplitApplyBitwiseEqualsUnsplitReference) {
                                         << i << " threads " << threads;
         EXPECT_EQ(y_split[i], y_seq[begin + i]) << "vs sequential, row " << i;
       }
-      // Split covers every local row exactly once.
-      EXPECT_EQ(dist.interior_rows().size() + dist.boundary_rows().size(),
-                nloc);
-      EXPECT_EQ(dist.interior_matrix().nnz() + dist.boundary_matrix().nnz(),
-                dist.local_matrix().nnz());
+      // The interior and boundary runs partition the local rows in
+      // ascending order: interior rows touch only owned columns,
+      // boundary rows at least one ghost.
+      const sparse::CsrMatrix& local = dist.local_matrix();
+      const auto touches_ghost = [&](sparse::ord i) {
+        for (sparse::offset k = local.row_ptr[i]; k < local.row_ptr[i + 1];
+             ++k) {
+          if (local.col_idx[static_cast<std::size_t>(k)] >= dist.n_local()) {
+            return true;
+          }
+        }
+        return false;
+      };
+      std::vector<int> seen(nloc, 0);
+      for (const bool boundary : {false, true}) {
+        sparse::ord prev_end = -1;
+        for (const sparse::RowRange& run :
+             boundary ? dist.boundary_ranges() : dist.interior_ranges()) {
+          EXPECT_LT(run.begin, run.end);
+          EXPECT_GT(run.begin, prev_end);  // ascending, maximal runs
+          prev_end = run.end;
+          for (sparse::ord i = run.begin; i < run.end; ++i) {
+            seen[static_cast<std::size_t>(i)] += 1;
+            EXPECT_EQ(touches_ghost(i), boundary) << "row " << i;
+          }
+        }
+      }
+      EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+                static_cast<std::ptrdiff_t>(nloc));
+      // One stored copy of the rows: the runs index local_matrix(), so
+      // the footprint holds its entries once (a second copy alone would
+      // double local_matrix().storage_bytes()).
+      EXPECT_LT(dist.footprint_bytes(), 2 * local.storage_bytes());
     });
   }
   par::set_num_threads(0);  // restore default resolution
@@ -216,6 +248,97 @@ TEST_P(SplitParityRanks, SplitApplyBitwiseEqualsUnsplitReference) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, SplitParityRanks,
                          ::testing::Values(1, 2, 7));
+
+// ---- the block apply ---------------------------------------------
+
+/// Runs fn on p ranks.  One rank runs on the calling thread, so the
+/// kernels' thread pool engages (spmd_run keeps rank threads serial).
+void run_ranks(int p, const std::function<void(par::Communicator&)>& fn) {
+  if (p == 1) {
+    par::SpmdContext ctx(1, par::NetworkModel::off());
+    par::Communicator comm(ctx, 0);
+    fn(comm);
+  } else {
+    par::spmd_run(p, fn);
+  }
+}
+
+class BlockApplyRanks : public ::testing::TestWithParam<int> {};
+
+TEST_P(BlockApplyRanks, ColumnsBitwiseEqualOneColumnSpmv) {
+  // Column t of Y = A X is bitwise DistCsr::spmv of column t: stencils
+  // take the serial row loop, the 81-nnz elasticity rows the gather
+  // path (which rows do depends on the SIMD width).  One exchange
+  // moves all k columns.
+  const int p = GetParam();
+  const std::vector<std::pair<const char*, sparse::CsrMatrix>> matrices = {
+      {"laplace2d_9pt", sparse::laplace2d_9pt(23, 17)},
+      {"convection_diffusion3d",
+       sparse::convection_diffusion3d(9, 8, 7, 1.0, 0.5, 0.25)},
+      {"elasticity3d_wide", sparse::elasticity3d(6, 5, 5, true, 0.3)},
+  };
+  // A small grain splits these few hundred rows across the pool.
+  const std::size_t saved_grain = par::parallel_grain();
+  par::set_parallel_grain(32);
+  for (const unsigned threads : {1u, 2u, 7u}) {
+    par::set_num_threads(threads);
+    for (const auto& [name, a] : matrices) {
+      for (const dense::index_t k : {1, 2, 4, 17}) {
+        const auto n = static_cast<std::size_t>(a.rows);
+        std::vector<double> x(n * static_cast<std::size_t>(k));
+        util::Xoshiro256 rng(41);
+        util::fill_normal(rng, x);
+        run_ranks(p, [&](par::Communicator& comm) {
+          const sparse::RowPartition part(a.rows, comm.size());
+          const sparse::DistCsr dist(a, part, comm.rank());
+          const auto begin = static_cast<std::size_t>(dist.row_begin());
+          const auto nloc = dist.n_local();
+          const auto nl = static_cast<std::size_t>(nloc);
+          dense::Matrix xl(nloc, k), yl(nloc, k);
+          for (dense::index_t t = 0; t < k; ++t) {
+            std::copy_n(x.data() + static_cast<std::size_t>(t) * n + begin,
+                        nl, xl.col(t));
+          }
+          comm.reset_stats();
+          dist.apply(comm, xl.view(), yl.view());
+          if (comm.size() > 1) {
+            EXPECT_EQ(comm.stats().p2p_rounds, 1u);
+            EXPECT_EQ(comm.stats().bytes_exchanged,
+                      static_cast<std::uint64_t>(dist.n_ghost()) *
+                          static_cast<std::uint64_t>(k) * sizeof(double));
+          }
+          std::vector<double> y1(nl);
+          for (dense::index_t t = 0; t < k; ++t) {
+            dist.spmv(comm, std::span<const double>(xl.col(t), nl), y1);
+            EXPECT_EQ(std::memcmp(yl.col(t), y1.data(), nl * sizeof(double)),
+                      0)
+                << name << " k=" << k << " column " << t << " rank "
+                << comm.rank() << " of " << p << " threads " << threads;
+          }
+        });
+      }
+    }
+  }
+  par::set_num_threads(0);  // restore default resolution
+  par::set_parallel_grain(saved_grain);
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, BlockApplyRanks,
+                         ::testing::Values(1, 2, 3, 4));
+
+TEST(DistCsr, BlockApplyNeedsContiguousColumns) {
+  // The owned block is published as it is, so a strided multi-column
+  // operand is rejected rather than read wrongly by peers.
+  const auto a = sparse::laplace2d_5pt(6, 6);
+  run_ranks(1, [&](par::Communicator& comm) {
+    const sparse::DistCsr dist(a, sparse::RowPartition(a.rows, 1), 0);
+    const dense::index_t n = dist.n_local();
+    dense::Matrix x(n + 1, 2), y(n, 2);
+    EXPECT_THROW(dist.apply(comm, x.block(0, 0, n, 2), y.view()),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(dist.apply(comm, x.block(0, 0, n, 1), y.block(0, 0, n, 1)));
+  });
+}
 
 TEST(DistCsr, EmptyBoundaryPartition) {
   // Block-diagonal matrix: no rank needs ghosts, every row is interior;
@@ -228,8 +351,7 @@ TEST(DistCsr, EmptyBoundaryPartition) {
     const sparse::RowPartition part(a.rows, comm.size());
     const sparse::DistCsr dist(a, part, comm.rank());
     EXPECT_EQ(dist.n_ghost(), 0);
-    EXPECT_EQ(dist.boundary_rows().size(), 0u);
-    EXPECT_EQ(dist.boundary_matrix().rows, 0);
+    EXPECT_TRUE(dist.boundary_ranges().empty());
     const auto nloc = static_cast<std::size_t>(dist.n_local());
     std::vector<double> x(nloc, 1.0), y(nloc, -1.0);
     comm.reset_stats();
@@ -263,10 +385,10 @@ TEST(DistCsr, EmptyInteriorPartition) {
   par::spmd_run(2, [&](par::Communicator& comm) {
     const sparse::RowPartition part(a.rows, comm.size());
     const sparse::DistCsr dist(a, part, comm.rank());
-    EXPECT_EQ(dist.interior_rows().size(), 0u);
-    EXPECT_EQ(dist.interior_matrix().rows, 0);
-    EXPECT_EQ(dist.boundary_rows().size(),
-              static_cast<std::size_t>(dist.n_local()));
+    EXPECT_TRUE(dist.interior_ranges().empty());
+    ASSERT_EQ(dist.boundary_ranges().size(), 1u);
+    EXPECT_EQ(dist.boundary_ranges()[0].begin, 0);
+    EXPECT_EQ(dist.boundary_ranges()[0].end, dist.n_local());
     const auto begin = static_cast<std::size_t>(part.begin(comm.rank()));
     const auto nloc = static_cast<std::size_t>(dist.n_local());
     std::vector<double> y(nloc);

@@ -44,6 +44,17 @@ TEST(Overlap, DistSpmvHidesP2pLatencyBehindInteriorRows) {
     EXPECT_EQ(comm.stats().p2p_rounds, 1u);
     EXPECT_EQ(comm.stats().bytes_exchanged,
               static_cast<std::uint64_t>(dist.n_ghost()) * sizeof(double));
+
+    // A k-column apply is still ONE overlapped round, moving k times
+    // the one-column volume.
+    const index_t k = 4;
+    Matrix xk(static_cast<index_t>(nloc), k), yk(static_cast<index_t>(nloc), k);
+    comm.reset_stats();
+    dist.apply(comm, xk.view(), yk.view());
+    EXPECT_GT(comm.stats().overlapped_seconds, 0.0);
+    EXPECT_EQ(comm.stats().p2p_rounds, 1u);
+    EXPECT_EQ(comm.stats().bytes_exchanged,
+              static_cast<std::uint64_t>(dist.n_ghost()) * k * sizeof(double));
   });
 }
 
